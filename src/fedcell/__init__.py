@@ -1,24 +1,9 @@
 """Simulator for differentially private federated learning over a multi-cell
 wireless uplink with inter-cell interference."""
 
-from .bounds import BoundConstants, c3_constraint_check, evaluate_bound
-from .config import (SystemConfig, dbm_to_watts, desk_training_config,
-                     load_config, full_scale_config, watts_to_dbm)
-from .data import Dataset, Shard, build_shards, load_dataset, read_idx, synthetic_blobs
-from .dp import (InfeasibleNoiseError, LeakageReport, leakage, leakage_report,
-                 opt_sched_dp, optimize_noise, total_leakage)
-from .fl import (FlState, TrainDivergedError, bs_aggregate, clip_global_norm,
-                 gaussian_mechanism, global_aggregate, local_gradient,
-                 local_update, train)
-from .harness import (ExperimentSpec, MetricsTable, ReplicaRecord, emit_csv,
-                      empirical_cdf, run_experiment, run_replica)
-from .mlp import Mlp
-from .radio import (Allocation, PowerSolveError, empty_allocation, enforce_rate,
-                    interference, interference_matrix, required_power, snr_gap,
-                    solve_powers, uplink_rate, validate_allocation)
-from .scheduler import (CellProblem, ScheduleInfeasibleError, ScheduleSolution,
-                        build_cell_problem, init_allocation, normalized_objective,
-                        objective_value, opt_sched, rnd_sched, solve_cell_schedule)
-from .topology import Topology, generate_topology, hex_centers, partition_samples
+from .config import full_scale_config
+from .dp import leakage_report
+from .harness import ALGORITHMS, allocate
+from .topology import generate_topology
 
 __version__ = "0.1.0"

@@ -16,26 +16,30 @@ import numpy as np
 
 from .bounds import c3_constraint_check, evaluate_bound
 from .config import load_config
-from .dp import leakage_report, optimize_noise
-from .harness import (ALGORITHMS, SCENARIOS, ExperimentSpec, MetricsTable,
+from .dp import leakage_report
+from .harness import (ALGORITHMS, SCENARIOS, ExperimentSpec, allocate,
                       emit_csv, run_experiment)
 from .mlp import Mlp
-from .radio import dump_power_system, uplink_rate
-from .scheduler import objective_value, normalized_objective, opt_sched, rnd_sched
+from .radio import power_system, uplink_rate
+from .scheduler import normalized_objective, objective_sum, objective_value
 from .topology import generate_topology
 
 
-def _build_allocation(topo, config, algorithm, seed):
-    if algorithm == "rnd":
-        return rnd_sched(topo, config, seed)
-    if algorithm == "opt":
-        return opt_sched(topo, config, seed)
-    if algorithm == "opt+dp":
-        alloc = opt_sched(topo, config, seed)
-        out = alloc.copy()
-        out.sigmas = optimize_noise(topo, alloc, config)
-        return out
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+def dump_power_system(topo, alloc, config, out_dir: Path) -> list:
+    """Write the A matrix and b vector of the power system as csv files."""
+    A, b, sched = power_system(topo, alloc, config)
+    paths = [out_dir / "power_system_A.csv", out_dir / "power_system_b.csv"]
+    with open(paths[0], "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["user"] + [str(int(u)) for u in sched])
+        for j, u in enumerate(sched):
+            wr.writerow([str(int(u))] + [repr(float(x)) for x in A[j]])
+    with open(paths[1], "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["user", "b"])
+        for j, u in enumerate(sched):
+            wr.writerow([str(int(u)), repr(float(b[j]))])
+    return paths
 
 
 def _open_out(path):
@@ -47,9 +51,6 @@ def _open_out(path):
 def cmd_run(args) -> int:
     config = load_config(args.config)
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {alg!r} (choose from {', '.join(ALGORITHMS)})")
     spec = ExperimentSpec(
         config=config,
         algorithms=algorithms,
@@ -74,7 +75,7 @@ def cmd_schedule(args) -> int:
     config = load_config(args.config)
     seed = config.seed if args.seed is None else args.seed
     topo = generate_topology(config, seed)
-    alloc = _build_allocation(topo, config, args.algorithm, seed)
+    alloc = allocate(args.algorithm, topo, config, seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -94,9 +95,8 @@ def cmd_schedule(args) -> int:
         wr = csv.writer(fh)
         wr.writerow(["cell", "objective"])
         for s, users in enumerate(topo.cell_users):
-            on = mask[users]
-            served = 1.0 / (K[users][on] * alloc.sigmas[users][on]) ** 2
-            val = float(K[users][~on].sum() + config.gamma * served.sum())
+            val = objective_sum(K[users], mask[users], alloc.sigmas[users],
+                                config.gamma)
             wr.writerow([s, repr(val)])
 
     if args.dump_system:
@@ -111,7 +111,7 @@ def cmd_privacy(args) -> int:
     config = load_config(args.config)
     seed = config.seed if args.seed is None else args.seed
     topo = generate_topology(config, seed)
-    alloc = _build_allocation(topo, config, args.algorithm, seed)
+    alloc = allocate(args.algorithm, topo, config, seed)
     report = leakage_report(topo, alloc, config)
     mask = alloc.scheduled(topo).astype(bool)
     fh, close = _open_out(args.out)
@@ -132,7 +132,7 @@ def cmd_bound(args) -> int:
     config = load_config(args.config)
     seed = config.seed if args.seed is None else args.seed
     topo = generate_topology(config, seed)
-    alloc = _build_allocation(topo, config, args.algorithm, seed)
+    alloc = allocate(args.algorithm, topo, config, seed)
     dim = args.dim
     if dim is None:
         dim = Mlp(config.synthetic_features, config.synthetic_classes).dim

@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import SystemConfig
 from .radio import Allocation
-from .scheduler import opt_sched
 from .topology import Topology
 
 
@@ -111,17 +110,8 @@ def optimize_noise(topo: Topology, alloc: Allocation, config: SystemConfig) -> n
     sig_sched = np.maximum((K ** 3 * kappa) ** -0.25, floor)
     resid = abs(float(K @ sig_sched ** 2) - rhs) / rhs
     if resid > 1e-8:
-        raise RuntimeError(f"noise budget residual {resid:.3e} after bisection")
+        raise InfeasibleNoiseError(f"noise budget residual {resid:.3e} after bisection")
     sigmas = np.zeros(topo.num_users)
     sigmas[idx] = sig_sched
     return sigmas
 
-
-def opt_sched_dp(topo: Topology, config: SystemConfig, seed: int) -> Allocation:
-    """Optimised schedule with its noise scales replaced by the budget-tight
-    optimum; the schedule itself is untouched."""
-    alloc = opt_sched(topo, config, seed)
-    sigmas = optimize_noise(topo, alloc, config)
-    out = alloc.copy()
-    out.sigmas = sigmas
-    return out

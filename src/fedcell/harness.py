@@ -17,13 +17,40 @@ import numpy as np
 from .bounds import c3_constraint_check, evaluate_bound
 from .config import SystemConfig
 from .data import load_dataset
-from .dp import leakage_report, optimize_noise
-from .fl import train
+from .dp import InfeasibleNoiseError, leakage_report, optimize_noise
+from .fl import TrainDivergedError, train
 from .mlp import Mlp
-from .scheduler import normalized_objective, objective_value, opt_sched, rnd_sched
-from .topology import generate_topology
+from .radio import Allocation, PowerSolveError
+from .scheduler import (ScheduleInfeasibleError, normalized_objective,
+                        objective_value, opt_sched, rnd_sched)
+from .topology import Topology, generate_topology
 
-ALGORITHMS = ("rnd", "opt", "opt+dp")
+
+def _opt_with_optimal_noise(topo, config, seed, done):
+    """The replica's `opt` allocation with its noise scales replaced by the
+    budget-tight optimum; the schedule itself is untouched."""
+    base = done.get("opt")
+    if base is None:
+        base = opt_sched(topo, config, seed)
+    alloc = base.copy()
+    alloc.sigmas = optimize_noise(topo, base, config)
+    return alloc
+
+
+# Every algorithm, by name: builder(topo, config, seed, done), where `done`
+# maps the names already built on this topology to their allocations.  The
+# builders look the scheduling functions up when called, not at import.
+_BUILDERS = {
+    "rnd": lambda topo, config, seed, done: rnd_sched(topo, config, seed),
+    "opt": lambda topo, config, seed, done: opt_sched(topo, config, seed),
+    "opt+dp": _opt_with_optimal_noise,
+}
+
+ALGORITHMS = tuple(_BUILDERS)
+
+# Failures a replica can meet on valid input; anything else propagates.
+DOMAIN_ERRORS = (ScheduleInfeasibleError, InfeasibleNoiseError,
+                 PowerSolveError, TrainDivergedError)
 
 SCENARIOS = {
     "r5": {"num_rbs": 5, "gamma": 1e6},
@@ -111,30 +138,30 @@ def _model_dim(config: SystemConfig, dataset) -> int:
     return Mlp(config.synthetic_features, config.synthetic_classes).dim
 
 
+def allocate(name: str, topo: Topology, config: SystemConfig, seed: int,
+             done: dict | None = None) -> Allocation:
+    """Allocation of algorithm `name` (one of ALGORITHMS) on `topo`.
+
+    `done` maps algorithms already built on the same topology and seed to
+    their allocations; `opt+dp` reuses the `opt` entry instead of solving the
+    schedule again.
+    """
+    return _BUILDERS[name](topo, config, seed, {} if done is None else done)
+
+
 def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
                 do_train: bool):
     """All requested algorithms on one topology seed.  Returns
-    (records, errors)."""
+    (records, errors); errors holds the DOMAIN_ERRORS met on the way."""
     records = []
     errors = []
     topo = generate_topology(config, seed)
     dataset = _dataset_for(config) if do_train else None
     dim = _model_dim(config, dataset)
-    base_opt = None
+    done = {}
     for alg in algorithms:
         try:
-            if alg == "rnd":
-                alloc = rnd_sched(topo, config, seed)
-            elif alg == "opt":
-                base_opt = opt_sched(topo, config, seed)
-                alloc = base_opt
-            elif alg == "opt+dp":
-                if base_opt is None:
-                    base_opt = opt_sched(topo, config, seed)
-                alloc = base_opt.copy()
-                alloc.sigmas = optimize_noise(topo, base_opt, config)
-            else:
-                raise ValueError(f"unknown algorithm {alg!r}")
+            alloc = done[alg] = allocate(alg, topo, config, seed, done)
             mask = alloc.scheduled(topo).astype(bool)
             report = leakage_report(topo, alloc, config)
             const = evaluate_bound(topo, alloc, config, dim)
@@ -160,7 +187,7 @@ def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
                 rec.accuracy = list(state.test_accuracy)
                 rec.loss = list(state.test_loss)
             records.append(rec)
-        except Exception as exc:  # keep the sweep alive; pairing drops this replica
+        except DOMAIN_ERRORS as exc:  # keep the sweep alive; pairing drops this replica
             errors.append((alg, replica, f"{type(exc).__name__}: {exc}"))
     return records, errors
 
@@ -170,6 +197,10 @@ def _replica_task(args):
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricsTable:
+    for alg in spec.algorithms:
+        if alg not in _BUILDERS:
+            raise ValueError(f"unknown algorithm {alg!r} "
+                             f"(choose from {', '.join(ALGORITHMS)})")
     config = spec.resolved_config()
     base = spec.base_seed()
     tasks = [(config, tuple(spec.algorithms), r, base + r, spec.train)

@@ -8,10 +8,8 @@ returns the exact fixed point whenever one exists inside the box.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
@@ -218,22 +216,3 @@ def validate_allocation(alloc: Allocation, topo: Topology, config: SystemConfig)
         problems.append("scheduled user below the sigma floor")
     return problems
 
-
-def dump_power_system(topo: Topology, alloc: Allocation, config: SystemConfig,
-                      out_dir: str | Path) -> list:
-    """Write the A matrix and b vector as csv files for inspection."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    A, b, sched = power_system(topo, alloc, config)
-    paths = [out_dir / "power_system_A.csv", out_dir / "power_system_b.csv"]
-    with open(paths[0], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["user"] + [str(int(u)) for u in sched])
-        for j, u in enumerate(sched):
-            wr.writerow([str(int(u))] + [repr(float(x)) for x in A[j]])
-    with open(paths[1], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["user", "b"])
-        for j, u in enumerate(sched):
-            wr.writerow([str(int(u)), repr(float(b[j]))])
-    return paths

@@ -39,12 +39,10 @@ class CellProblem:
     samples: np.ndarray          # K per user
     sigmas: np.ndarray           # current noise scale per user
     feasible: np.ndarray         # (users, blocks) True where power cap allows the pairing
-    required_power: np.ndarray   # (users, blocks) W needed to hit the minimum rate
     foreign_samples: float       # sum of K over scheduled users of other cells
     foreign_noise: float         # sum of K sigma^2 over scheduled users of other cells
     gamma: float
     v_max: float
-    num_rbs: int
 
     @property
     def budget_tol(self) -> float:
@@ -82,12 +80,10 @@ def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
         samples=topo.samples[users].astype(float),
         sigmas=alloc.sigmas[users].copy(),
         feasible=feasible,
-        required_power=req,
         foreign_samples=float(fk.sum()),
         foreign_noise=float((fk * fsig ** 2).sum()),
         gamma=config.gamma,
         v_max=config.v_max,
-        num_rbs=config.num_rbs,
     )
 
 
@@ -252,7 +248,7 @@ def _init_state(topo: Topology, config: SystemConfig, seed: int):
         if float(K[mask] @ sig[mask] ** 2) <= cap:
             break
     else:
-        raise RuntimeError("no initial noise draw fits the variance budget")
+        raise ScheduleInfeasibleError("no initial noise draw fits the variance budget")
     alloc.powers = np.where(mask, p_draw, 0.0)
     alloc.sigmas = sig
     return alloc, p_draw
@@ -297,9 +293,15 @@ def objective_value(topo: Topology, alloc: Allocation, config: SystemConfig) -> 
     mask = alloc.scheduled(topo).astype(bool)
     if (alloc.sigmas[mask] <= 0.0).any():
         raise ValueError("scheduled users need a positive noise scale")
-    K = topo.samples.astype(float)
-    served = 1.0 / (K[mask] * alloc.sigmas[mask]) ** 2
-    return float(K[~mask].sum() + config.gamma * served.sum())
+    return objective_sum(topo.samples.astype(float), mask, alloc.sigmas, config.gamma)
+
+
+def objective_sum(samples: np.ndarray, mask: np.ndarray, sigmas: np.ndarray,
+                  gamma: float) -> float:
+    """sum K (1 - a) + gamma * sum a / (K sigma)^2 over the given users;
+    `mask` is the boolean a."""
+    served = 1.0 / (samples[mask] * sigmas[mask]) ** 2
+    return float(samples[~mask].sum() + gamma * served.sum())
 
 
 def normalized_objective(topo: Topology, alloc: Allocation, config: SystemConfig) -> float:

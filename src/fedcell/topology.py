@@ -72,7 +72,9 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _draw_partition(config: SystemConfig, num_users: int, seed: int) -> np.ndarray:
+def partition_samples(config: SystemConfig, num_users: int, seed: int) -> np.ndarray:
+    """Split the sample budget across users: lognormal weights, largest-remainder
+    rounding, then a top-up so every user keeps at least one sample."""
     if config.total_samples < num_users:
         raise ValueError("not enough samples to give every user at least one")
     rng = np.random.default_rng(seeding.subseed(seed, seeding.PARTITION))
@@ -88,12 +90,6 @@ def _draw_partition(config: SystemConfig, num_users: int, seed: int) -> np.ndarr
             counts[donor] -= 1
             counts[u] += 1
     return counts
-
-
-def partition_samples(config: SystemConfig, topology: Topology, seed: int) -> np.ndarray:
-    """Split the sample budget across users: lognormal weights, largest-remainder
-    rounding, then a top-up so every user keeps at least one sample."""
-    return _draw_partition(config, topology.num_users, seed)
 
 
 def generate_topology(config: SystemConfig, seed: int) -> Topology:
@@ -113,7 +109,7 @@ def generate_topology(config: SystemConfig, seed: int) -> Topology:
     fading = fade_rng.rayleigh(scale=1.0, size=distances.shape)
     gains = channel_gains(distances, fading, config.center_freq)
 
-    samples = _draw_partition(config, config.total_users, seed)
+    samples = partition_samples(config, config.total_users, seed)
 
     cell_users = tuple(np.flatnonzero(assignment == s) for s in range(len(centers)))
     local_index = np.empty(config.total_users, dtype=np.int64)

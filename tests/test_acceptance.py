@@ -56,12 +56,10 @@ def random_cell_instance(rng) -> CellProblem:
         samples=rng.integers(1, 1000, users).astype(float),
         sigmas=rng.uniform(0.05, 4.0, users),
         feasible=rng.random((users, blocks)) < 0.75,
-        required_power=np.zeros((users, blocks)),
         foreign_samples=foreign,
         foreign_noise=float(rng.uniform(0.0, v_max * foreign * 1.5)),
         gamma=float(10.0 ** rng.uniform(0.0, 5.0)),
         v_max=v_max,
-        num_rbs=blocks,
     )
 
 

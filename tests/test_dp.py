@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from fedcell.config import full_scale_config
 from fedcell.dp import (InfeasibleNoiseError, leakage, leakage_report,
-                        opt_sched_dp, optimize_noise, total_leakage)
+                        optimize_noise, total_leakage)
+from fedcell.harness import allocate
 from fedcell.radio import empty_allocation
 from fedcell.scheduler import objective_value, opt_sched
 from fedcell.topology import generate_topology
@@ -142,7 +143,7 @@ def test_optimized_noise_cuts_leakage():
 def test_opt_sched_dp_keeps_schedule_and_improves_objective():
     cfg, topo = small_system(seed=7)
     plain = opt_sched(topo, cfg, 7)
-    tuned = opt_sched_dp(topo, cfg, 7)
+    tuned = allocate("opt+dp", topo, cfg, 7)
     assert np.array_equal(plain.scheduled(topo), tuned.scheduled(topo))
     assert np.array_equal(plain.powers, tuned.powers)
     assert objective_value(topo, tuned, cfg) <= objective_value(topo, plain, cfg)

@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+import fedcell.harness
 from fedcell.config import full_scale_config
+from fedcell.dp import InfeasibleNoiseError
 from fedcell.harness import (ALGORITHMS, CSV_NAMES, ExperimentSpec,
                              MetricsTable, ReplicaRecord, _fmt, emit_csv,
                              empirical_cdf, run_experiment, run_replica)
@@ -29,24 +31,59 @@ def test_run_replica_produces_one_record_per_algorithm():
         assert r.accuracy is None and r.loss is None
 
 
-def test_run_replica_dp_shares_the_opt_schedule():
+def test_run_replica_dp_shares_the_opt_schedule(monkeypatch):
     cfg = small_config()
+    calls = []
+    real = fedcell.harness.opt_sched
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(fedcell.harness, "opt_sched", counted)
     records, _ = run_replica(cfg, ("opt", "opt+dp"), 0, 3, False)
     opt, dp = records
     assert opt.scheduled_users == dp.scheduled_users
     assert [u for u, _ in opt.leakage_users] == [u for u, _ in dp.leakage_users]
     assert dp.leakage_total <= opt.leakage_total
     assert dp.objective <= opt.objective + 1e-9
+    # opt+dp reuses the replica's opt schedule, and builds one without it
+    assert calls == [3]
+    records, _ = run_replica(cfg, ("opt+dp",), 0, 3, False)
+    assert calls == [3, 3]
+    assert records[0].objective == dp.objective
 
 
-def test_run_replica_captures_per_algorithm_failures():
+def _raising(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+def test_run_replica_captures_per_algorithm_failures(monkeypatch):
     cfg = small_config()
-    records, errors = run_replica(cfg, ("opt", "bogus"), 2, 5, False)
-    assert [r.algorithm for r in records] == ["opt"]
-    assert len(errors) == 1
-    alg, rep, msg = errors[0]
-    assert alg == "bogus" and rep == 2
-    assert "bogus" in msg
+    monkeypatch.setattr(fedcell.harness, "optimize_noise",
+                        _raising(InfeasibleNoiseError("over budget")))
+    records, errors = run_replica(cfg, ALGORITHMS, 2, 5, False)
+    assert [r.algorithm for r in records] == ["rnd", "opt"]
+    assert errors == [("opt+dp", 2, "InfeasibleNoiseError: over budget")]
+
+
+def test_run_replica_propagates_programming_errors(monkeypatch):
+    cfg = small_config()
+    monkeypatch.setattr(fedcell.harness, "optimize_noise",
+                        _raising(TypeError("bad argument")))
+    with pytest.raises(TypeError, match="bad argument"):
+        run_replica(cfg, ALGORITHMS, 2, 5, False)
+
+
+def test_run_experiment_rejects_unknown_algorithms_up_front(monkeypatch):
+    monkeypatch.setattr(fedcell.harness, "run_replica", _raising(AssertionError))
+    spec = ExperimentSpec(config=small_config(), algorithms=("opt", "best"),
+                          replicas=2)
+    msg = r"^unknown algorithm 'best' \(choose from rnd, opt, opt\+dp\)$"
+    with pytest.raises(ValueError, match=msg):
+        run_experiment(spec)
 
 
 def test_run_experiment_orders_rows_by_replica_then_algorithm():

@@ -24,9 +24,8 @@ def make_problem(samples, sigmas, feasible, *, gamma=1.0, v_max=12.0,
     return CellProblem(
         cell=cell, users=np.arange(samples.size), samples=samples,
         sigmas=sigmas, feasible=feasible,
-        required_power=np.zeros_like(feasible, dtype=float),
         foreign_samples=float(foreign_samples), foreign_noise=float(foreign_noise),
-        gamma=gamma, v_max=v_max, num_rbs=feasible.shape[1])
+        gamma=gamma, v_max=v_max)
 
 
 def solution_set(sol):
@@ -155,7 +154,7 @@ def test_solution_beats_single_swaps(seed):
     base = value(chosen)
     others = [i for i in range(prob.samples.size) if i not in chosen]
     candidates = [chosen - {i} for i in chosen]
-    candidates += [chosen | {j} for j in others if len(chosen) < prob.num_rbs]
+    candidates += [chosen | {j} for j in others if len(chosen) < prob.feasible.shape[1]]
     candidates += [(chosen - {i}) | {j} for i in chosen for j in others]
     for cand in candidates:
         if feasible_set(cand):
@@ -171,7 +170,6 @@ def test_build_cell_problem_feasibility_matches_required_power():
         for row, u in enumerate(prob.users):
             for n in range(cfg.num_rbs):
                 req = required_power(topo, alloc, cfg, int(u), rb=n)
-                assert prob.required_power[row, n] == pytest.approx(req, rel=1e-12)
                 assert prob.feasible[row, n] == (req <= cfg.p_max * (1 + 1e-12))
 
 

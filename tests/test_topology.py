@@ -120,7 +120,7 @@ def test_partition_conserves_and_covers(seed, users, total):
     total = total + users  # keep the instance feasible
     cfg = small_config(total_users=users, total_samples=total)
     topo = generate_topology(cfg, seed)
-    counts = partition_samples(cfg, topo, seed)
+    counts = partition_samples(cfg, users, seed)
     assert counts.sum() == total
     assert counts.min() >= 1
     assert np.array_equal(counts, topo.samples)
@@ -134,10 +134,9 @@ def test_even_split_when_sigma_zero():
 
 
 def test_partition_rejects_starving_users():
-    from fedcell.topology import _draw_partition
     cfg = small_config(total_users=5, total_samples=500)
     with pytest.raises(ValueError, match="at least one"):
-        _draw_partition(cfg, 1000, 0)
+        partition_samples(cfg, 1000, 0)
 
 
 def test_arrays_are_frozen():
