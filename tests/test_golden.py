@@ -55,9 +55,7 @@ BOUNDS_CLOSE = ("objective", "normalized_objective", "leakage_total",
 
 def case_spec(case: str) -> ExperimentSpec:
     name, overrides, replicas, train = CASES[case]
-    config = load_config(ROOT / "configs" / name)
-    if overrides:
-        config = config.replace(**overrides)
+    config = load_config(ROOT / "configs" / name).replace(**overrides)
     return ExperimentSpec(config=config, replicas=replicas, train=train)
 
 
@@ -71,10 +69,6 @@ def read_table(path: Path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
-
-
-def _rel_close(a: str, b: str, rel: float) -> bool:
-    return math.isclose(float(a), float(b), rel_tol=rel, abs_tol=0.0)
 
 
 def compare_file(name: str, golden: Path, got: Path, acc_abs: float) -> list:
@@ -99,7 +93,7 @@ def compare_file(name: str, golden: Path, got: Path, acc_abs: float) -> list:
             if key in exact:
                 ok = gv == hv
             elif key in close:
-                ok = _rel_close(gv, hv, close[key])
+                ok = math.isclose(float(gv), float(hv), rel_tol=close[key])
             elif key == "test_accuracy":
                 ok = abs(float(gv) - float(hv)) <= acc_abs
             else:
