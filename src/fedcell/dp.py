@@ -21,7 +21,8 @@ from .topology import Topology
 
 
 class InfeasibleNoiseError(ValueError):
-    """The sigma floor alone exceeds the noise variance budget."""
+    """No noise scales meet the budget: nobody is scheduled, or the sigma
+    floor alone exceeds the noise variance budget."""
 
 
 def leakage(rounds: int, clip: float, samples: float, sigma: float) -> float:
@@ -76,7 +77,7 @@ def optimize_noise(topo: Topology, alloc: Allocation, config: SystemConfig) -> n
     mask = alloc.scheduled(topo).astype(bool)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
-        raise ValueError("nothing to optimise: no user is scheduled")
+        raise InfeasibleNoiseError("nothing to optimise: no user is scheduled")
     K = topo.samples[idx].astype(float)
     floor = config.n_min / K
     rhs = config.v_max * K.sum()

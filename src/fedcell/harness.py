@@ -138,6 +138,13 @@ def _model_dim(config: SystemConfig, dataset) -> int:
     return Mlp(config.synthetic_features, config.synthetic_classes).dim
 
 
+def _builder(name: str):
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown algorithm {name!r} "
+                         f"(choose from {', '.join(ALGORITHMS)})")
+    return _BUILDERS[name]
+
+
 def allocate(name: str, topo: Topology, config: SystemConfig, seed: int,
              done: dict | None = None) -> Allocation:
     """Allocation of algorithm `name` (one of ALGORITHMS) on `topo`.
@@ -146,7 +153,7 @@ def allocate(name: str, topo: Topology, config: SystemConfig, seed: int,
     their allocations; `opt+dp` reuses the `opt` entry instead of solving the
     schedule again.
     """
-    return _BUILDERS[name](topo, config, seed, {} if done is None else done)
+    return _builder(name)(topo, config, seed, {} if done is None else done)
 
 
 def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
@@ -163,6 +170,10 @@ def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
         try:
             alloc = done[alg] = allocate(alg, topo, config, seed, done)
             mask = alloc.scheduled(topo).astype(bool)
+            # every user dropped by the rate floor; `done` keeps the empty
+            # allocation, so opt+dp fails on it without solving again
+            if not mask.any():
+                raise ScheduleInfeasibleError("no user scheduled")
             report = leakage_report(topo, alloc, config)
             const = evaluate_bound(topo, alloc, config, dim)
             rec = ReplicaRecord(
@@ -198,9 +209,7 @@ def _replica_task(args):
 
 def run_experiment(spec: ExperimentSpec) -> MetricsTable:
     for alg in spec.algorithms:
-        if alg not in _BUILDERS:
-            raise ValueError(f"unknown algorithm {alg!r} "
-                             f"(choose from {', '.join(ALGORITHMS)})")
+        _builder(alg)
     config = spec.resolved_config()
     base = spec.base_seed()
     tasks = [(config, tuple(spec.algorithms), r, base + r, spec.train)

@@ -6,8 +6,10 @@ import fedcell.harness
 from fedcell.config import full_scale_config
 from fedcell.dp import InfeasibleNoiseError
 from fedcell.harness import (ALGORITHMS, CSV_NAMES, ExperimentSpec,
-                             MetricsTable, ReplicaRecord, _fmt, emit_csv,
-                             empirical_cdf, run_experiment, run_replica)
+                             MetricsTable, ReplicaRecord, _fmt, allocate,
+                             emit_csv, empirical_cdf, run_experiment,
+                             run_replica)
+from fedcell.topology import generate_topology
 
 
 def small_config(**overrides):
@@ -84,6 +86,26 @@ def test_run_experiment_rejects_unknown_algorithms_up_front(monkeypatch):
     msg = r"^unknown algorithm 'best' \(choose from rnd, opt, opt\+dp\)$"
     with pytest.raises(ValueError, match=msg):
         run_experiment(spec)
+
+
+def test_allocate_rejects_unknown_algorithms():
+    cfg = small_config()
+    topo = generate_topology(cfg, 0)
+    msg = r"^unknown algorithm 'best' \(choose from rnd, opt, opt\+dp\)$"
+    with pytest.raises(ValueError, match=msg):
+        allocate("best", topo, cfg, 0)
+
+
+def test_run_experiment_records_empty_schedules_as_failures():
+    # so little power that the rate floor drops every user
+    spec = ExperimentSpec(config=small_config(p_max=1e-13), replicas=2)
+    table = run_experiment(spec)
+    assert table.rows == []
+    empty = "ScheduleInfeasibleError: no user scheduled"
+    no_noise = "InfeasibleNoiseError: nothing to optimise: no user is scheduled"
+    assert table.errors == [("opt", 0, empty), ("opt+dp", 0, no_noise),
+                            ("rnd", 0, empty), ("opt", 1, empty),
+                            ("opt+dp", 1, no_noise), ("rnd", 1, empty)]
 
 
 def test_run_experiment_orders_rows_by_replica_then_algorithm():
