@@ -88,8 +88,8 @@ def interference_matrix(alloc: Allocation, topo: Topology, num_rbs: int) -> np.n
             continue
         # received power at every BS from cell `other`'s users, per block
         contrib = (topo.gains[:, users] * alloc.powers[users]) @ alloc.rb[other]
+        contrib[other] = 0.0   # a cell does not interfere with itself
         out += contrib
-        out[other] -= contrib[other]
     return out
 
 

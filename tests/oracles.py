@@ -145,3 +145,16 @@ def idx_bytes(array, compress=False) -> bytes:
     if compress:
         raw = gzip.compress(raw)
     return raw
+
+
+def interference(alloc, topo, cell, rb):
+    """Received power at base station `cell` on block `rb` from the users of
+    every other cell, summed user by user."""
+    total = 0.0
+    for other, users in enumerate(topo.cell_users):
+        if other == cell or users.size == 0:
+            continue
+        on_rb = users[alloc.rb[other][:, rb] == 1]
+        for u in on_rb:
+            total += topo.gains[cell, u] * alloc.powers[u]
+    return total

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from fedcell.config import full_scale_config
 from fedcell.radio import (Allocation, empty_allocation, enforce_rate,
                            interference, interference_matrix, power_system,
@@ -50,14 +52,27 @@ def test_interference_sums_other_cells_only():
             assert interference(alloc, topo, s, n) == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
+def assert_matches_oracle(alloc, topo, num_rbs):
+    mat = interference_matrix(alloc, topo, num_rbs)
+    for s in range(topo.num_cells):
+        for n in range(num_rbs):
+            assert mat[s, n] == pytest.approx(oracles.interference(alloc, topo, s, n),
+                                              rel=1e-13, abs=1e-300)
+
+
 def test_interference_matrix_matches_scalar_op():
     cfg, topo = two_cell_topology(seed=2, users=20)
     alloc = schedule_everyone_round_robin(topo, cfg)
-    mat = interference_matrix(alloc, topo, cfg.num_rbs)
-    for s in range(topo.num_cells):
-        for n in range(cfg.num_rbs):
-            assert mat[s, n] == pytest.approx(interference(alloc, topo, s, n),
-                                              rel=1e-9, abs=1e-300)
+    assert_matches_oracle(alloc, topo, cfg.num_rbs)
+
+
+def test_interference_matrix_exact_under_a_loud_own_cell():
+    # every cell hears its own users far above its interferers; their power
+    # must not leak into the sum through cancellation
+    cfg, topo = two_cell_topology(seed=2, users=20)
+    alloc = schedule_everyone_round_robin(topo, cfg)
+    alloc.powers = alloc.powers * 10.0 ** (3 * (topo.assignment % 3))
+    assert_matches_oracle(alloc, topo, cfg.num_rbs)
 
 
 def test_interference_linear_in_power():
