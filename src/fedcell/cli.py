@@ -83,11 +83,11 @@ def cmd_schedule(args) -> int:
     with open(out_dir / "allocation.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["user", "cell", "samples", "block", "power_w", "sigma", "rate_bit_s"])
+        rates = uplink_rate(alloc, topo, config)
         for u in range(topo.num_users):
-            rate = uplink_rate(alloc, topo, config, u)
             wr.writerow([u, int(topo.assignment[u]), int(topo.samples[u]),
                          int(rb_idx[u]), repr(float(alloc.powers[u])),
-                         repr(float(alloc.sigmas[u])), repr(rate)])
+                         repr(float(alloc.sigmas[u])), repr(float(rates[u]))])
 
     mask = alloc.scheduled(topo).astype(bool)
     K = topo.samples.astype(float)

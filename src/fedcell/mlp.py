@@ -43,12 +43,6 @@ class Mlp:
         wm, b = layers[-1]
         return acts, h @ wm + b
 
-    def predict_proba(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, logits = self._forward(w, x)
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
         """Mean cross entropy over (x, y) and its flat gradient."""
         n = x.shape[0]

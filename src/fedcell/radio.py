@@ -5,10 +5,14 @@ the same block, so required powers couple across cells.  Setting each
 scheduled user's SNR-gap equation to equality gives a linear system
 A p = b; powers solve min ||A p - b||_1 subject to 0 <= p <= p_max, which
 returns the exact fixed point whenever one exists inside the box.
+
+Interference and rates have one path: `interference` gives every base
+station's co-channel power on every block at once, and `uplink_rate` turns
+one such matrix into every user's rate.  Rate enforcement, the scheduler's
+feasibility test and the `schedule` csv all use it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,9 @@ class Allocation:
 
     rb holds one (cell users x num_rbs) 0/1 matrix per cell, rows ordered like
     topology.cell_users.  powers and sigmas are global (num_users,) arrays;
-    powers are zero for unscheduled users.
+    powers are zero for unscheduled users.  A user holds at most one block,
+    as the schedulers guarantee; `rb_index`, `uplink_rate` and
+    `power_system` rely on it.
     """
     rb: list
     powers: np.ndarray
@@ -50,10 +56,8 @@ class Allocation:
         """Resource block per user, -1 when unscheduled."""
         idx = np.full(topo.num_users, -1, dtype=np.int64)
         for s, users in enumerate(topo.cell_users):
-            for row, u in enumerate(users):
-                cols = np.flatnonzero(self.rb[s][row])
-                if cols.size:
-                    idx[u] = cols[0]
+            held = self.rb[s].any(axis=1)
+            idx[users[held]] = self.rb[s][held].argmax(axis=1)
         return idx
 
 
@@ -67,21 +71,9 @@ def snr_gap(config: SystemConfig) -> float:
     return 2.0 ** (config.r_min / config.bandwidth) - 1.0
 
 
-def interference(alloc: Allocation, topo: Topology, cell: int, rb: int) -> float:
-    """Total received power at base station `cell` on block `rb` from users
-    served by other cells."""
-    total = 0.0
-    for other, users in enumerate(topo.cell_users):
-        if other == cell or users.size == 0:
-            continue
-        on_rb = users[alloc.rb[other][:, rb] == 1]
-        for u in on_rb:
-            total += topo.gains[cell, u] * alloc.powers[u]
-    return total
-
-
-def interference_matrix(alloc: Allocation, topo: Topology, num_rbs: int) -> np.ndarray:
-    """(num_cells, num_rbs) matrix of the `interference` values, vectorised."""
+def interference(alloc: Allocation, topo: Topology, num_rbs: int) -> np.ndarray:
+    """(num_cells, num_rbs) received power at every base station on every
+    block from the users served by other cells."""
     out = np.zeros((topo.num_cells, num_rbs))
     for other, users in enumerate(topo.cell_users):
         if users.size == 0:
@@ -93,34 +85,17 @@ def interference_matrix(alloc: Allocation, topo: Topology, num_rbs: int) -> np.n
     return out
 
 
-def uplink_rate(alloc: Allocation, topo: Topology, config: SystemConfig, user: int) -> float:
-    """Achievable rate of `user` at its serving base station, bit/s."""
-    cell = int(topo.assignment[user])
-    row = alloc.rb[cell][topo.local_index[user]]
-    cols = np.flatnonzero(row)
-    if cols.size == 0:
-        return 0.0
-    rate = 0.0
-    for n in cols:
-        denom = interference(alloc, topo, cell, int(n)) + config.bandwidth * config.noise_psd
-        snr = alloc.powers[user] * topo.gains[cell, user] / denom
-        rate += config.bandwidth * math.log2(1.0 + snr)
+def uplink_rate(alloc: Allocation, topo: Topology, config: SystemConfig) -> np.ndarray:
+    """(num_users,) achievable rate of every user at its serving base
+    station, bit/s; zero for unscheduled users."""
+    rb_idx = alloc.rb_index(topo)
+    on = np.flatnonzero(rb_idx >= 0)
+    cells = topo.assignment[on]
+    inter = interference(alloc, topo, config.num_rbs)[cells, rb_idx[on]]
+    snr = alloc.powers[on] * topo.gains[cells, on] / (inter + config.bandwidth * config.noise_psd)
+    rate = np.zeros(topo.num_users)
+    rate[on] = config.bandwidth * np.log2(1.0 + snr)
     return rate
-
-
-def required_power(topo: Topology, alloc: Allocation, config: SystemConfig,
-                   user: int, rb: int | None = None) -> float:
-    """Power that hits the minimum rate exactly on the user's block, holding
-    every other transmitter fixed.  Zero when the user is unscheduled and no
-    block is named; with `rb` given, answers for that hypothetical block."""
-    cell = int(topo.assignment[user])
-    if rb is None:
-        cols = np.flatnonzero(alloc.rb[cell][topo.local_index[user]])
-        if cols.size == 0:
-            return 0.0
-        rb = int(cols[0])
-    denom = interference(alloc, topo, cell, rb) + config.bandwidth * config.noise_psd
-    return snr_gap(config) * denom / topo.gains[cell, user]
 
 
 def power_system(topo: Topology, alloc: Allocation, config: SystemConfig):
@@ -131,18 +106,16 @@ def power_system(topo: Topology, alloc: Allocation, config: SystemConfig):
     """
     rb_idx = alloc.rb_index(topo)
     sched = np.flatnonzero(rb_idx >= 0)
-    m = sched.size
     gap = snr_gap(config)
-    A = np.eye(m)
-    b = np.empty(m)
-    for j, u in enumerate(sched):
-        s = int(topo.assignment[u])
-        h_own = topo.gains[s, u]
-        b[j] = gap * config.bandwidth * config.noise_psd / h_own
-        for k, v in enumerate(sched):
-            if k == j or rb_idx[v] != rb_idx[u] or topo.assignment[v] == s:
-                continue
-            A[j, k] = -gap * topo.gains[s, v] / h_own
+    cells = topo.assignment[sched]
+    blocks = rb_idx[sched]
+    h_own = topo.gains[cells, sched]
+    b = gap * config.bandwidth * config.noise_psd / h_own
+    # A[j, k] couples user k into user j's base station on a shared block
+    heard = topo.gains[cells[:, None], sched[None, :]]
+    couple = (blocks[:, None] == blocks[None, :]) & (cells[:, None] != cells[None, :])
+    A = np.where(couple, -gap * heard / h_own[:, None], 0.0)
+    np.fill_diagonal(A, 1.0)
     return A, b, sched
 
 
@@ -179,40 +152,10 @@ def enforce_rate(topo: Topology, alloc: Allocation, config: SystemConfig) -> All
     out = alloc.copy()
     floor = config.r_min * (1.0 - 1e-6)
     while True:
-        mask = out.scheduled(topo)
-        bad = [u for u in np.flatnonzero(mask)
-               if uplink_rate(out, topo, config, int(u)) < floor]
-        if not bad:
+        mask = out.scheduled(topo).astype(bool)
+        bad = np.flatnonzero(mask & (uplink_rate(out, topo, config) < floor))
+        if not bad.size:
             return out
         for u in bad:
-            s = int(topo.assignment[u])
-            out.rb[s][topo.local_index[u], :] = 0
-            out.powers[u] = 0.0
-
-
-def validate_allocation(alloc: Allocation, topo: Topology, config: SystemConfig) -> list:
-    """Structural checks; returns a list of violation descriptions."""
-    problems = []
-    for s, users in enumerate(topo.cell_users):
-        mat = alloc.rb[s]
-        if mat.shape != (users.size, config.num_rbs):
-            problems.append(f"cell {s}: rb matrix shape {mat.shape}")
-            continue
-        if not np.isin(mat, (0, 1)).all():
-            problems.append(f"cell {s}: rb entries not 0/1")
-        if (mat.sum(axis=1) > 1).any():
-            problems.append(f"cell {s}: user on more than one block")
-        if (mat.sum(axis=0) > 1).any():
-            problems.append(f"cell {s}: block shared inside the cell")
-    mask = alloc.scheduled(topo)
-    tol = config.p_max * 1e-12
-    if (alloc.powers < 0).any() or (alloc.powers > config.p_max + tol).any():
-        problems.append("powers outside [0, p_max]")
-    if (alloc.powers[mask == 0] != 0).any():
-        problems.append("unscheduled user with nonzero power")
-    ks = topo.samples * alloc.sigmas
-    low = config.n_min * (1.0 - 1e-12)
-    if (ks[mask == 1] < low).any():
-        problems.append("scheduled user below the sigma floor")
-    return problems
-
+            out.rb[topo.assignment[u]][topo.local_index[u], :] = 0
+        out.powers[bad] = 0.0

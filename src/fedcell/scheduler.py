@@ -22,8 +22,8 @@ import numpy as np
 
 from . import seeding
 from .config import SystemConfig
-from .radio import (Allocation, empty_allocation, enforce_rate,
-                    interference_matrix, snr_gap, solve_powers)
+from .radio import (Allocation, empty_allocation, enforce_rate, interference,
+                    snr_gap, solve_powers)
 from .topology import Topology
 
 
@@ -64,7 +64,7 @@ def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
     users = topo.cell_users[cell]
     if users.size and (alloc.sigmas[users] <= 0.0).any():
         raise ValueError("every user needs a positive noise scale to score a schedule")
-    inter = interference_matrix(alloc, topo, config.num_rbs)[cell]
+    inter = interference(alloc, topo, config.num_rbs)[cell]
     gap = snr_gap(config)
     h = topo.gains[cell, users]
     req = gap * (inter[None, :] + config.bandwidth * config.noise_psd) / h[:, None]
@@ -252,11 +252,6 @@ def _init_state(topo: Topology, config: SystemConfig, seed: int):
     alloc.powers = np.where(mask, p_draw, 0.0)
     alloc.sigmas = sig
     return alloc, p_draw
-
-
-def init_allocation(topo: Topology, config: SystemConfig, seed: int) -> Allocation:
-    alloc, _ = _init_state(topo, config, seed)
-    return alloc
 
 
 def rnd_sched(topo: Topology, config: SystemConfig, seed: int) -> Allocation:

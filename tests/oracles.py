@@ -158,3 +158,99 @@ def interference(alloc, topo, cell, rb):
         for u in on_rb:
             total += topo.gains[cell, u] * alloc.powers[u]
     return total
+
+
+def _snr_gap(config):
+    return 2.0 ** (config.r_min / config.bandwidth) - 1.0
+
+
+def uplink_rate(alloc, topo, config, user):
+    """Rate of `user` at its serving base station, bit/s: Shannon rate summed
+    over every block the user holds, each against that block's interference."""
+    cell = int(topo.assignment[user])
+    row = alloc.rb[cell][topo.local_index[user]]
+    rate = 0.0
+    for n in np.flatnonzero(row):
+        denom = interference(alloc, topo, cell, int(n)) + config.bandwidth * config.noise_psd
+        snr = alloc.powers[user] * topo.gains[cell, user] / denom
+        rate += config.bandwidth * math.log2(1.0 + snr)
+    return rate
+
+
+def required_power(topo, alloc, config, user, rb=None):
+    """Power that meets the minimum rate exactly on the user's block, holding
+    every other transmitter fixed.  Zero when the user is unscheduled and no
+    block is named; with `rb` given, answers for that hypothetical block."""
+    cell = int(topo.assignment[user])
+    if rb is None:
+        cols = np.flatnonzero(alloc.rb[cell][topo.local_index[user]])
+        if cols.size == 0:
+            return 0.0
+        rb = int(cols[0])
+    denom = interference(alloc, topo, cell, rb) + config.bandwidth * config.noise_psd
+    return _snr_gap(config) * denom / topo.gains[cell, user]
+
+
+def power_system(topo, alloc, config):
+    """Pair-by-pair build of the power equality system A p = b over the
+    scheduled users in ascending id order; returns (A, b, sched)."""
+    blocks = {}
+    for s, users in enumerate(topo.cell_users):
+        for row, u in enumerate(users):
+            cols = np.flatnonzero(alloc.rb[s][row])
+            if cols.size:
+                blocks[int(u)] = int(cols[0])
+    sched = np.array(sorted(blocks), dtype=np.int64)
+    m = sched.size
+    gap = _snr_gap(config)
+    A = np.eye(m)
+    b = np.empty(m)
+    for j, u in enumerate(sched):
+        s = int(topo.assignment[u])
+        h_own = topo.gains[s, u]
+        b[j] = gap * config.bandwidth * config.noise_psd / h_own
+        for k, v in enumerate(sched):
+            if k == j or blocks[int(v)] != blocks[int(u)] or topo.assignment[v] == s:
+                continue
+            A[j, k] = -gap * topo.gains[s, v] / h_own
+    return A, b, sched
+
+
+def validate_allocation(alloc, topo, config):
+    """Structural checks of an allocation; returns violation descriptions."""
+    problems = []
+    for s, users in enumerate(topo.cell_users):
+        mat = alloc.rb[s]
+        if mat.shape != (users.size, config.num_rbs):
+            problems.append(f"cell {s}: rb matrix shape {mat.shape}")
+            continue
+        if not np.isin(mat, (0, 1)).all():
+            problems.append(f"cell {s}: rb entries not 0/1")
+        if (mat.sum(axis=1) > 1).any():
+            problems.append(f"cell {s}: user on more than one block")
+        if (mat.sum(axis=0) > 1).any():
+            problems.append(f"cell {s}: block shared inside the cell")
+    mask = alloc.scheduled(topo)
+    tol = config.p_max * 1e-12
+    if (alloc.powers < 0).any() or (alloc.powers > config.p_max + tol).any():
+        problems.append("powers outside [0, p_max]")
+    if (alloc.powers[mask == 0] != 0).any():
+        problems.append("unscheduled user with nonzero power")
+    ks = topo.samples * alloc.sigmas
+    low = config.n_min * (1.0 - 1e-12)
+    if (ks[mask == 1] < low).any():
+        problems.append("scheduled user below the sigma floor")
+    return problems
+
+
+def predict_proba(model, w, x):
+    """Class probabilities of an Mlp: ReLU hidden layers, then a softmax
+    shifted by the row maximum so large logits stay finite."""
+    layers = model.unpack(w)
+    h = x
+    for wm, b in layers[:-1]:
+        h = np.maximum(h @ wm + b, 0.0)
+    wm, b = layers[-1]
+    logits = h @ wm + b
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)

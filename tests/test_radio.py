@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 import oracles
 
 from fedcell.config import full_scale_config
-from fedcell.radio import (Allocation, empty_allocation, enforce_rate,
-                           interference, interference_matrix, power_system,
-                           required_power, snr_gap, solve_powers, uplink_rate,
-                           validate_allocation)
+from fedcell.radio import (empty_allocation, enforce_rate, interference,
+                           power_system, snr_gap, solve_powers, uplink_rate)
 from fedcell.topology import generate_topology
 
 
@@ -43,17 +41,19 @@ def test_interference_sums_other_cells_only():
     cfg, topo = two_cell_topology(seed=1, users=14)
     alloc = schedule_everyone_round_robin(topo, cfg)
     rb_idx = alloc.rb_index(topo)
+    mat = interference(alloc, topo, cfg.num_rbs)
+    assert mat.shape == (topo.num_cells, cfg.num_rbs)
     for s in range(topo.num_cells):
         for n in range(cfg.num_rbs):
             expect = 0.0
             for u in range(topo.num_users):
                 if rb_idx[u] == n and topo.assignment[u] != s:
                     expect += topo.gains[s, u] * alloc.powers[u]
-            assert interference(alloc, topo, s, n) == pytest.approx(expect, rel=1e-12, abs=1e-300)
+            assert mat[s, n] == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
 def assert_matches_oracle(alloc, topo, num_rbs):
-    mat = interference_matrix(alloc, topo, num_rbs)
+    mat = interference(alloc, topo, num_rbs)
     for s in range(topo.num_cells):
         for n in range(num_rbs):
             assert mat[s, n] == pytest.approx(oracles.interference(alloc, topo, s, n),
@@ -78,18 +78,18 @@ def test_interference_matrix_exact_under_a_loud_own_cell():
 def test_interference_linear_in_power():
     cfg, topo = two_cell_topology(seed=3, users=14)
     alloc = schedule_everyone_round_robin(topo, cfg)
-    base = interference(alloc, topo, 0, 0)
+    base = interference(alloc, topo, cfg.num_rbs)
     double = alloc.copy()
     double.powers = alloc.powers * 2.0
-    assert interference(double, topo, 0, 0) == pytest.approx(2.0 * base, rel=1e-12)
+    assert interference(double, topo, cfg.num_rbs) == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_interference_zero_without_other_transmitters():
     cfg = full_scale_config(num_cells=1, total_users=5, total_samples=250)
     topo = generate_topology(cfg, 0)
     alloc = schedule_everyone_round_robin(topo, cfg)
-    for n in range(cfg.num_rbs):
-        assert interference(alloc, topo, 0, n) == 0.0
+    assert np.array_equal(interference(alloc, topo, cfg.num_rbs),
+                          np.zeros((1, cfg.num_rbs)))
 
 
 def single_user_setup(h=1e-10):
@@ -108,33 +108,30 @@ def single_user_setup(h=1e-10):
 
 def test_required_power_reference_value():
     cfg, topo, alloc = single_user_setup(h=1e-10)
-    p = required_power(topo, alloc, cfg, 0)
+    p = oracles.required_power(topo, alloc, cfg, 0)
     # gap * B * N0 / h with no interference
     assert p == pytest.approx(3.3660840533620116e-06, rel=1e-15)
     # transmitting exactly that power meets the minimum rate exactly
     alloc.powers = np.array([p])
-    assert uplink_rate(alloc, topo, cfg, 0) == pytest.approx(cfg.r_min, rel=1e-12)
+    assert uplink_rate(alloc, topo, cfg)[0] == pytest.approx(cfg.r_min, rel=1e-12)
 
 
 def test_required_power_zero_when_unscheduled():
     cfg, topo, alloc = single_user_setup()
     alloc.rb[0][0, 0] = 0
-    assert required_power(topo, alloc, cfg, 0) == 0.0
-    assert uplink_rate(alloc, topo, cfg, 0) == 0.0
+    assert oracles.required_power(topo, alloc, cfg, 0) == 0.0
+    assert uplink_rate(alloc, topo, cfg)[0] == 0.0
 
 
 def test_rate_decreases_with_interference():
     cfg, topo = two_cell_topology(seed=4, users=14)
     alloc = schedule_everyone_round_robin(topo, cfg)
-    rates = [uplink_rate(alloc, topo, cfg, u) for u in range(topo.num_users)]
     louder = alloc.copy()
     louder.powers = np.minimum(alloc.powers * 2.0, cfg.p_max)
     mask = alloc.scheduled(topo).astype(bool)
-    for u in np.flatnonzero(mask):
-        # doubling everyone's power doubles this user's signal but also all
-        # of its interferers; with interference present the rate moves
-        r2 = uplink_rate(louder, topo, cfg, int(u))
-        assert r2 > 0.0
+    # doubling everyone's power doubles each user's signal but also all of
+    # its interferers; with interference present the rate moves
+    assert np.all(uplink_rate(louder, topo, cfg)[mask] > 0.0)
     # direct check: raising only an interferer's power lowers the victim rate
     rb_idx = alloc.rb_index(topo)
     victim = None
@@ -145,9 +142,9 @@ def test_rate_decreases_with_interference():
             victim, bully = int(u), int(others[0])
             break
     assert victim is not None, "test topology needs a co-channel pair"
-    before = uplink_rate(alloc, topo, cfg, victim)
+    before = uplink_rate(alloc, topo, cfg)[victim]
     alloc.powers[bully] *= 1.5
-    after = uplink_rate(alloc, topo, cfg, victim)
+    after = uplink_rate(alloc, topo, cfg)[victim]
     assert after < before
 
 
@@ -173,6 +170,56 @@ def test_power_system_structure():
                 assert A[j, k] == 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_power_system_equals_oracle_loop(seed):
+    cfg = full_scale_config(total_users=40, total_samples=24000)
+    topo = generate_topology(cfg, seed)
+    rng = np.random.default_rng(seed)
+    alloc = empty_allocation(topo, cfg.num_rbs)
+    # distinct blocks inside a cell, shifted by one in every other cell
+    for s, users in enumerate(topo.cell_users):
+        perm = rng.permutation(users.size)
+        for j in range(min(users.size, cfg.num_rbs - 1)):
+            alloc.rb[s][perm[j], j + s % 2] = 1
+    got = power_system(topo, alloc, cfg)
+    expect = oracles.power_system(topo, alloc, cfg)
+    for a, b in zip(got, expect):
+        assert np.array_equal(a, b)
+    assert (got[0] < 0).any(), "the draw needs co-channel users"
+
+
+def test_power_system_empty_schedule_equals_oracle_loop():
+    cfg, topo = two_cell_topology(seed=7, users=10)
+    alloc = empty_allocation(topo, cfg.num_rbs)
+    got = power_system(topo, alloc, cfg)
+    expect = oracles.power_system(topo, alloc, cfg)
+    assert got[0].shape == (0, 0)
+    for a, b in zip(got, expect):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 1000), users=st.integers(8, 30))
+def test_uplink_rate_matches_oracle_property(seed, users):
+    cfg, topo = two_cell_topology(seed=seed, users=users)
+    rng = np.random.default_rng(seed)
+    alloc = empty_allocation(topo, cfg.num_rbs)
+    for s, members in enumerate(topo.cell_users):
+        perm = rng.permutation(members.size)
+        for j in range(min(members.size, cfg.num_rbs)):
+            alloc.rb[s][perm[j], j] = 1
+    mask = alloc.scheduled(topo).astype(bool)
+    alloc.powers = np.where(mask, rng.uniform(0.0, cfg.p_max, topo.num_users), 0.0)
+    rb_idx = alloc.rb_index(topo)
+    shared = [(rb_idx == n) & mask for n in range(cfg.num_rbs)]
+    assert any(np.unique(topo.assignment[on]).size > 1 for on in shared), \
+        "the draw needs co-channel users in different cells"
+    got = uplink_rate(alloc, topo, cfg)
+    expect = [oracles.uplink_rate(alloc, topo, cfg, u) for u in range(topo.num_users)]
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+    assert np.all(got[~mask] == 0.0)
+
+
 def test_solve_powers_reaches_interior_fixed_point():
     cfg, topo = two_cell_topology(seed=6, users=16)
     alloc = schedule_everyone_round_robin(topo, cfg)
@@ -182,8 +229,8 @@ def test_solve_powers_reaches_interior_fixed_point():
     if np.all(direct >= 0) and np.all(direct <= cfg.p_max):
         assert p[sched] == pytest.approx(direct, rel=1e-6, abs=1e-15)
         alloc.powers = p
-        for u in sched:
-            assert uplink_rate(alloc, topo, cfg, int(u)) == pytest.approx(cfg.r_min, rel=1e-6)
+        assert uplink_rate(alloc, topo, cfg)[sched] == pytest.approx(
+            np.full(sched.size, cfg.r_min), rel=1e-6)
     else:
         assert np.all(p[sched] <= cfg.p_max * (1 + 1e-12))
         assert np.all(p[sched] >= 0.0)
@@ -220,8 +267,8 @@ def test_enforce_rate_keeps_satisfied_users():
     alloc.powers = solve_powers(topo, alloc, cfg)
     cleaned = enforce_rate(topo, alloc, cfg)
     # single cell, solved powers: everyone either met the rate or sits at cap
-    for u in np.flatnonzero(cleaned.scheduled(topo)):
-        assert uplink_rate(cleaned, topo, cfg, int(u)) >= cfg.r_min * (1 - 1e-6)
+    kept = cleaned.scheduled(topo).astype(bool)
+    assert np.all(uplink_rate(cleaned, topo, cfg)[kept] >= cfg.r_min * (1 - 1e-6))
     # idempotent
     again = enforce_rate(topo, cleaned, cfg)
     assert np.array_equal(again.scheduled(topo), cleaned.scheduled(topo))
@@ -244,8 +291,8 @@ def test_enforce_rate_terminates_on_cascades():
     mask = alloc.scheduled(topo).astype(bool)
     alloc.powers = np.where(mask, cfg.p_max * 1e-6, 0.0)
     cleaned = enforce_rate(topo, alloc, cfg)
-    for u in np.flatnonzero(cleaned.scheduled(topo)):
-        assert uplink_rate(cleaned, topo, cfg, int(u)) >= cfg.r_min * (1 - 1e-6)
+    kept = cleaned.scheduled(topo).astype(bool)
+    assert np.all(uplink_rate(cleaned, topo, cfg)[kept] >= cfg.r_min * (1 - 1e-6))
 
 
 def test_validate_allocation_flags_problems():
@@ -253,26 +300,26 @@ def test_validate_allocation_flags_problems():
     alloc = schedule_everyone_round_robin(topo, cfg)
     mask = alloc.scheduled(topo).astype(bool)
     alloc.sigmas = np.where(mask, 10 * cfg.n_min / topo.samples, 0.0)
-    assert validate_allocation(alloc, topo, cfg) == []
+    assert oracles.validate_allocation(alloc, topo, cfg) == []
 
     bad = alloc.copy()
     bad.powers = bad.powers + cfg.p_max  # above the cap and nonzero off-schedule
-    msgs = " ".join(validate_allocation(bad, topo, cfg))
+    msgs = " ".join(oracles.validate_allocation(bad, topo, cfg))
     assert "p_max" in msgs or "power" in msgs
 
     bad2 = alloc.copy()
     s = next(s for s, users in enumerate(topo.cell_users) if users.size >= 2)
     bad2.rb[s][0, 0] = 1
     bad2.rb[s][1, 0] = 1
-    assert any("shared" in m for m in validate_allocation(bad2, topo, cfg))
+    assert any("shared" in m for m in oracles.validate_allocation(bad2, topo, cfg))
 
     bad3 = alloc.copy()
     bad3.rb[s][0, :2] = 1
-    assert any("more than one block" in m for m in validate_allocation(bad3, topo, cfg))
+    assert any("more than one block" in m for m in oracles.validate_allocation(bad3, topo, cfg))
 
     bad4 = alloc.copy()
     bad4.sigmas = np.zeros(topo.num_users)
-    assert any("floor" in m for m in validate_allocation(bad4, topo, cfg))
+    assert any("floor" in m for m in oracles.validate_allocation(bad4, topo, cfg))
 
 
 @settings(max_examples=25, deadline=None)
@@ -282,7 +329,6 @@ def test_interference_scales_linearly_property(seed, scale):
     alloc = schedule_everyone_round_robin(topo, cfg)
     scaled = alloc.copy()
     scaled.powers = alloc.powers * scale
-    for s in (0, topo.num_cells - 1):
-        a = interference(alloc, topo, s, 0)
-        b = interference(scaled, topo, s, 0)
-        assert b == pytest.approx(scale * a, rel=1e-12, abs=1e-300)
+    a = interference(alloc, topo, cfg.num_rbs)
+    b = interference(scaled, topo, cfg.num_rbs)
+    assert b == pytest.approx(scale * a, rel=1e-12, abs=1e-300)

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import brute_force_cell
 
 from fedcell.config import full_scale_config
-from fedcell.radio import required_power, validate_allocation
-from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError,
-                               build_cell_problem, init_allocation,
-                               normalized_objective, objective_value,
-                               opt_sched, rnd_sched, solve_cell_schedule)
+from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError, _init_state,
+                               build_cell_problem, normalized_objective,
+                               objective_value, opt_sched, rnd_sched,
+                               solve_cell_schedule)
 from fedcell.topology import generate_topology
+
+
+def init_allocation(topo, config, seed):
+    """The shared random starting allocation of both schedulers."""
+    return _init_state(topo, config, seed)[0]
 
 
 def make_problem(samples, sigmas, feasible, *, gamma=1.0, v_max=12.0,
@@ -169,7 +174,7 @@ def test_build_cell_problem_feasibility_matches_required_power():
         prob = build_cell_problem(topo, alloc, cell, cfg)
         for row, u in enumerate(prob.users):
             for n in range(cfg.num_rbs):
-                req = required_power(topo, alloc, cfg, int(u), rb=n)
+                req = oracles.required_power(topo, alloc, cfg, int(u), rb=n)
                 assert prob.feasible[row, n] == (req <= cfg.p_max * (1 + 1e-12))
 
 
@@ -193,7 +198,7 @@ def test_init_allocation_structure():
     cfg = full_scale_config()
     topo = generate_topology(cfg, 9)
     alloc = init_allocation(topo, cfg, 9)
-    assert validate_allocation(alloc, topo, cfg) == []
+    assert oracles.validate_allocation(alloc, topo, cfg) == []
     mask = alloc.scheduled(topo).astype(bool)
     for s, users in enumerate(topo.cell_users):
         expect = min(users.size, cfg.num_rbs)
@@ -230,7 +235,7 @@ def test_schedulers_produce_valid_allocations():
         topo = generate_topology(cfg, seed)
         for builder in (rnd_sched, opt_sched):
             alloc = builder(topo, cfg, seed)
-            assert validate_allocation(alloc, topo, cfg) == []
+            assert oracles.validate_allocation(alloc, topo, cfg) == []
 
 
 def test_opt_beats_rnd_on_fixed_seeds():
