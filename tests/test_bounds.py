@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ def test_constants_match_hand_arithmetic():
     excluded = K[1] + K[3]
     served = K[0] + K[2]
     dim = 11
-    c1 = 1.0 - 2.0 / 8.0 + 4.0 * 1.5 * (excluded / total) ** 2
+    q = 4.0 * 1.5 * (excluded / total) ** 2
+    c1 = 1.0 - 2.0 / 8.0 * (1.0 - q) if q <= 1.0 else q
     c2 = 2.0 * 3.0 / 8.0 * (excluded / total) ** 2
     c3 = dim / (2.0 * 8.0) * ((K[0] * 0.5 / served) ** 2 + (K[2] * 0.25 / served) ** 2)
     got = evaluate_bound(topo, alloc, cfg, dim)
@@ -60,9 +62,10 @@ def test_divergence_flag_when_too_much_excluded():
     got = evaluate_bound(topo, alloc, cfg, 100)
     K = topo.samples.astype(float)
     frac = (K.sum() - K.min()) / K.sum()
-    assert got.c1 == pytest.approx(1.0 - cfg.mu / cfg.clip + 4 * (frac ** 2), rel=1e-12)
-    if got.c1 >= 1.0:
-        assert not got.converges
+    q = 4 * frac ** 2
+    assert q > 1.0
+    assert got.c1 == pytest.approx(q, rel=1e-12)
+    assert not got.converges
 
 
 def test_bound_requires_scheduled_samples():
@@ -91,3 +94,45 @@ def test_pipeline_allocations_converge():
     got = evaluate_bound(topo, alloc, cfg, 1000)
     assert c3_constraint_check(topo, alloc, cfg)
     assert got.c3 > 0.0
+    assert got.converges
+
+
+def excluded_share(topo, alloc):
+    K = topo.samples.astype(float)
+    return float(K[~alloc.scheduled(topo).astype(bool)].sum() / K.sum())
+
+
+def test_c1_contracts_below_the_crossover():
+    # leave out the smallest holder only: q = 4 xi2 s^2 stays below one
+    cfg, topo, alloc = manual_setup([0, 1, 2, 3], [0.1] * 4, mu=2.0, clip=8.0)
+    small = int(np.argmin(topo.samples))
+    alloc.rb[0][topo.local_index[small], :] = 0
+    q = 4.0 * cfg.xi2 * excluded_share(topo, alloc) ** 2
+    assert 0.0 < q < 1.0
+    got = evaluate_bound(topo, alloc, cfg, 10)
+    assert got.c1 == pytest.approx(1.0 - 0.25 * (1.0 - q), rel=1e-12)
+    assert 1.0 - 0.25 < got.c1 < 1.0
+    assert got.converges
+
+
+def test_c1_is_q_above_the_crossover():
+    cfg, topo, alloc = manual_setup([0, 1, 2, 3], [0.1] * 4, xi2=50.0)
+    small = int(np.argmin(topo.samples))
+    alloc.rb[0][topo.local_index[small], :] = 0
+    q = 4.0 * 50.0 * excluded_share(topo, alloc) ** 2
+    assert q > 1.0
+    got = evaluate_bound(topo, alloc, cfg, 10)
+    assert got.c1 == pytest.approx(q, rel=1e-12)
+    assert not got.converges
+
+
+def test_c1_continuous_at_the_crossover():
+    cfg, topo, alloc = manual_setup([0, 1, 2, 3], [0.1] * 4, mu=2.0, clip=8.0)
+    small = int(np.argmin(topo.samples))
+    alloc.rb[0][topo.local_index[small], :] = 0
+    tie = 1.0 / (4.0 * excluded_share(topo, alloc) ** 2)   # xi2 that puts q at one
+    assert tie >= 1.0
+    values = [evaluate_bound(topo, alloc, replace(cfg, xi2=tie * (1.0 + rel)), 10).c1
+              for rel in (-1e-9, 0.0, 1e-9)]
+    assert values == pytest.approx([1.0, 1.0, 1.0], abs=1e-8)
+    assert values[0] < 1.0 < values[2]
