@@ -67,8 +67,9 @@ def test_interference_matrix_matches_scalar_op():
 
 
 def test_interference_matrix_exact_under_a_loud_own_cell():
-    # every cell hears its own users far above its interferers; their power
-    # must not leak into the sum through cancellation
+    # cells 2 and 5 transmit 1e6 times louder than cells 0, 3 and 6, so their
+    # base stations hear their own users far above their interferers; that
+    # power must not leak into the sum through cancellation
     cfg, topo = two_cell_topology(seed=2, users=20)
     alloc = schedule_everyone_round_robin(topo, cfg)
     alloc.powers = alloc.powers * 10.0 ** (3 * (topo.assignment % 3))
