@@ -71,8 +71,12 @@ def read_table(path: Path):
     return rows[0], rows[1:]
 
 
-def compare_file(name: str, golden: Path, got: Path, acc_abs: float) -> list:
-    """Mismatches between two copies of one csv file, as readable lines."""
+def compare_file(name: str, golden: Path, got: Path, test_size: int) -> list:
+    """Mismatches between two copies of one csv file, as readable lines.
+
+    Accuracies are compared as counts of correct test examples, so that a
+    one-example difference is not lost to rounding in the decimal fraction.
+    """
     g_head, g_rows = read_table(golden)
     h_head, h_rows = read_table(got)
     if g_head != h_head:
@@ -95,7 +99,7 @@ def compare_file(name: str, golden: Path, got: Path, acc_abs: float) -> list:
             elif key in close:
                 ok = math.isclose(float(gv), float(hv), rel_tol=close[key])
             elif key == "test_accuracy":
-                ok = abs(float(gv) - float(hv)) <= acc_abs
+                ok = abs(round(float(gv) * test_size) - round(float(hv) * test_size)) <= 1
             else:
                 raise AssertionError(f"{name}: no tolerance for column {key}")
             if not ok:
@@ -104,10 +108,10 @@ def compare_file(name: str, golden: Path, got: Path, acc_abs: float) -> list:
 
 
 def compare_case(golden_dir: Path, got_dir: Path, spec: ExperimentSpec) -> list:
-    acc_abs = 1.0 / spec.config.dataset_test_size
+    test_size = spec.config.dataset_test_size
     problems = []
     for name in CSV_NAMES:
-        problems += compare_file(name, golden_dir / name, got_dir / name, acc_abs)
+        problems += compare_file(name, golden_dir / name, got_dir / name, test_size)
     return problems
 
 
@@ -132,6 +136,26 @@ def test_comparer_rejects_a_nudged_objective(tmp_path):
     problems = compare_case(GOLDEN / case, tmp_path, spec)
     assert len(problems) == 1
     assert problems[0].startswith("bounds.csv:5 objective:")
+
+
+@pytest.mark.parametrize("examples,accepted", [(1, True), (-1, True), (2, False)])
+def test_comparer_allows_one_test_example_of_accuracy(examples, accepted, tmp_path):
+    case = "desk_train_r5"
+    for name in CSV_NAMES:
+        shutil.copy(GOLDEN / case / name, tmp_path / name)
+    spec = case_spec(case)
+    n = spec.config.dataset_test_size
+    head, rows = read_table(tmp_path / "accuracy.csv")
+    col = head.index("test_accuracy")
+    rows[2][col] = repr((round(float(rows[2][col]) * n) + examples) / n)
+    with open(tmp_path / "accuracy.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([head] + rows)
+    problems = compare_case(GOLDEN / case, tmp_path, spec)
+    if accepted:
+        assert problems == []
+    else:
+        assert len(problems) == 1
+        assert problems[0].startswith("accuracy.csv:4 test_accuracy:")
 
 
 if __name__ == "__main__":
