@@ -1,11 +1,16 @@
 """Federated training over the scheduled users.
 
-Each round, every scheduled user computes its full-batch gradient, clips it
-to the norm bound, adds Gaussian noise at its allocated scale, and takes one
-local step; base stations average their users' models by sample count and
-the global model averages the cells the same way.  Noise comes from a
-dedicated stream per (seed, round, cell, user), so results are independent
-of evaluation order.
+Each round, every scheduled user computes its full-batch gradient and clips
+it to the norm bound; base stations average their users' clipped gradients
+by sample count, and the global model averages the cells the same way.  In
+the paper's scheme every user also adds its own N(0, sigma_u^2 I) before the
+uplink, and the global model only ever sees the sample-weighted sum of those
+noises.  The users' mechanisms are independent Gaussians, so their sum is
+drawn as one: N(0, sum_u (K_u sigma_u / K_a)^2 I), with the same law.  The
+round is then one step, w' = w - step * (mean clipped gradient + noise).
+The per-user accounting in `dp.py` is unchanged.  Noise comes from a
+dedicated stream per (seed, round), so results are independent of
+evaluation order.
 """
 from __future__ import annotations
 
@@ -55,7 +60,8 @@ def local_update(w: np.ndarray, grad: np.ndarray, step: float) -> np.ndarray:
 
 
 def weighted_model_mean(models, weights) -> np.ndarray:
-    """Sample-weighted average of model vectors."""
+    """Sample-weighted average of vectors: users' clipped gradients in a
+    cell, or the cells' mean gradients."""
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0.0:
@@ -74,8 +80,8 @@ def global_aggregate(cell_models, cell_weights) -> np.ndarray:
     return weighted_model_mean(cell_models, cell_weights)
 
 
-def noise_stream(seed: int, round_index: int, cell: int, user: int) -> np.random.Generator:
-    return seeding.stream(seed, seeding.NOISE, round_index, cell, user)
+def noise_stream(seed: int, round_index: int) -> np.random.Generator:
+    return seeding.stream(seed, seeding.NOISE, round_index)
 
 
 @dataclass
@@ -94,8 +100,11 @@ def train(topo: Topology, alloc: Allocation, dataset: Dataset,
     """
     mask = alloc.scheduled(topo).astype(bool)
     K = topo.samples.astype(float)
-    if K[mask].sum() <= 0.0:
+    total = K[mask].sum()
+    if total <= 0.0:
         raise ValueError("no scheduled samples: nothing to train on")
+    # scale of the sum of the users' noises, each weighted K_u / K_a
+    sigma = float(np.linalg.norm(K[mask] * alloc.sigmas[mask])) / total
 
     model = Mlp(dataset.input_dim, dataset.num_classes)
     w = model.init_params(np.random.default_rng(seeding.subseed(seed, seeding.WEIGHTS)))
@@ -103,23 +112,20 @@ def train(topo: Topology, alloc: Allocation, dataset: Dataset,
 
     state = FlState(weights=w, rounds_done=0)
     for t in range(config.rounds):
-        cell_models = []
+        cell_grads = []
         cell_weights = []
         for s in range(topo.num_cells):
             users = [int(u) for u in topo.cell_users[s] if mask[u]]
             if not users:
                 continue
-            local = []
-            for u in users:
-                g = local_gradient(model, shards[u], w)
-                g = clip_global_norm(g, config.clip)
-                g = gaussian_mechanism(g, float(alloc.sigmas[u]),
-                                       noise_stream(seed, t, s, u))
-                local.append(local_update(w, g, config.step))
+            grads = [clip_global_norm(local_gradient(model, shards[u], w), config.clip)
+                     for u in users]
             wts = [K[u] for u in users]
-            cell_models.append(bs_aggregate(local, wts))
+            cell_grads.append(bs_aggregate(grads, wts))
             cell_weights.append(sum(wts))
-        w = global_aggregate(cell_models, cell_weights)
+        g = global_aggregate(cell_grads, cell_weights)
+        g = gaussian_mechanism(g, sigma, noise_stream(seed, t))
+        w = local_update(w, g, config.step)
         if not np.isfinite(w).all():
             raise TrainDivergedError(t)
         loss, acc = model.evaluate(w, dataset.test_x, dataset.test_y)

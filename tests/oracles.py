@@ -131,6 +131,39 @@ def gradient_descent(loss_and_grad, w0, step, rounds):
     return path
 
 
+def two_level_round(grad, w, cells, samples, sigmas, clip, step, rng):
+    """One training round of the paper's scheme as written.
+
+    Every scheduled user u clips its gradient grad(u, w) to norm `clip`, adds
+    its own N(0, sigmas[u]^2 I) from the generator rng(cell, u) (not called
+    when sigmas[u] is 0) and takes one local step; each base station averages
+    its users' models by sample count, and the server averages the cells by
+    their sample totals.  `cells` lists the scheduled users of each cell.
+    """
+    cell_models = []
+    cell_totals = []
+    for s, users in enumerate(cells):
+        if not users:
+            continue
+        total = math.fsum(float(samples[u]) for u in users)
+        model = np.zeros_like(w)
+        for u in users:
+            g = grad(u, w)
+            norm = float(np.sqrt(np.sum(g * g)))
+            if norm > clip:
+                g = g * (clip / norm)
+            if sigmas[u] > 0.0:
+                g = g + sigmas[u] * rng(s, u).standard_normal(g.shape)
+            model += (float(samples[u]) / total) * (w - step * g)
+        cell_models.append(model)
+        cell_totals.append(total)
+    grand = math.fsum(cell_totals)
+    out = np.zeros_like(w)
+    for model, total in zip(cell_models, cell_totals):
+        out += (total / grand) * model
+    return out
+
+
 def idx_bytes(array, compress=False) -> bytes:
     """Serialise an array in idx layout (big endian, dims then payload)."""
     codes = {np.dtype(np.uint8): 0x08, np.dtype(np.int8): 0x09,

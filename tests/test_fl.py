@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import gradient_descent
+from oracles import gradient_descent, two_level_round
 
 from fedcell.config import full_scale_config
 from fedcell.data import load_dataset
@@ -41,23 +43,25 @@ def test_clip_keeps_short_vectors_and_zero():
 
 def test_mechanism_identity_at_zero_sigma():
     g = np.arange(5, dtype=float)
-    out = gaussian_mechanism(g, 0.0, noise_stream(0, 0, 0, 0))
-    assert out is g
-    with pytest.raises(ValueError):
-        gaussian_mechanism(g, -1.0, noise_stream(0, 0, 0, 0))
+    for seed, round_index in [(0, 0), (3, 7)]:
+        out = gaussian_mechanism(g, 0.0, noise_stream(seed, round_index))
+        assert out is g
+        with pytest.raises(ValueError):
+            gaussian_mechanism(g, -1.0, noise_stream(seed, round_index))
 
 
 def test_mechanism_uses_the_given_stream():
     g = np.zeros(8)
-    a = gaussian_mechanism(g, 2.0, noise_stream(7, 3, 1, 4))
-    b = gaussian_mechanism(g, 2.0, noise_stream(7, 3, 1, 4))
-    c = gaussian_mechanism(g, 2.0, noise_stream(7, 3, 1, 5))
+    a = gaussian_mechanism(g, 2.0, noise_stream(7, 3))
+    b = gaussian_mechanism(g, 2.0, noise_stream(7, 3))
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert np.array_equal(a, 2.0 * noise_stream(7, 3).standard_normal(8))
+    assert not np.array_equal(a, gaussian_mechanism(g, 2.0, noise_stream(7, 4)))
+    assert not np.array_equal(a, gaussian_mechanism(g, 2.0, noise_stream(8, 3)))
 
 
-def test_noise_streams_distinct_across_rounds_cells_users():
-    keys = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+def test_noise_streams_distinct_across_seeds_and_rounds():
+    keys = [(s, t) for s in (0, 1, 2) for t in (0, 1, 2)]
     draws = [noise_stream(*k).standard_normal(4) for k in keys]
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
@@ -128,6 +132,76 @@ def test_noiseless_single_cell_equals_batch_descent():
     path = gradient_descent(lambda w: model.loss_and_grad(w, union_x, union_y),
                             w0, cfg.step, cfg.rounds)
     assert np.max(np.abs(state.weights - path[-1])) <= 1e-10
+
+
+def three_cell_setup(sigmas=None, **over):
+    """Seven-cell desk topology with up to num_rbs users of cells 0-2
+    scheduled and cells 3-6 left empty; returns the scheduled users per cell."""
+    cfg = tiny_training_config(num_cells=7, total_users=28, total_samples=560,
+                               num_rbs=4, dataset_train_size=600, **over)
+    topo = generate_topology(cfg, 6)
+    ds = load_dataset(cfg)
+    alloc = empty_allocation(topo, cfg.num_rbs)
+    cells = []
+    for s, users in enumerate(topo.cell_users):
+        rows = range(min(users.size, cfg.num_rbs)) if s < 3 else range(0)
+        for row in rows:
+            alloc.rb[s][row, row] = 1
+        cells.append([int(users[row]) for row in rows])
+    assert all(cells[:3]), "each of the three cells needs a scheduled user"
+    alloc.sigmas = np.zeros(topo.num_users) if sigmas is None else sigmas(topo)
+    return cfg, topo, ds, alloc, cells
+
+
+def per_user_gradients(ds, topo, seed):
+    """Initial weights and user u's full-batch gradient, as train builds them."""
+    from fedcell.data import build_shards
+    from fedcell import seeding
+    model = Mlp(ds.input_dim, ds.num_classes)
+    w0 = model.init_params(np.random.default_rng(seeding.subseed(seed, seeding.WEIGHTS)))
+    shards = build_shards(ds, topo, seed)
+    return w0, lambda u, w: model.loss_and_grad(w, shards[u].x, shards[u].y)[1]
+
+
+def test_noiseless_train_matches_two_level_oracle():
+    cfg, topo, ds, alloc, cells = three_cell_setup(clip=0.5, mu=0.1)
+    state = train(topo, alloc, ds, cfg, seed=6)
+
+    w, grad = per_user_gradients(ds, topo, 6)
+    norms = [np.linalg.norm(grad(u, w)) for c in cells for u in c]
+    assert min(norms) < cfg.clip < max(norms), "the round needs clipped and unclipped users"
+    for _ in range(cfg.rounds):
+        w = two_level_round(grad, w, cells, topo.samples, alloc.sigmas,
+                            cfg.clip, cfg.step, None)
+    assert np.max(np.abs(state.weights - w)) <= 1e-12
+
+
+def test_round_noise_has_the_summed_users_variance():
+    unequal = lambda topo: np.linspace(0.0, 0.3, topo.num_users)
+    cfg, topo, ds, noisy, cells = three_cell_setup(sigmas=unequal, rounds=1)
+    clean = replace(noisy, sigmas=np.zeros(topo.num_users))
+    a = train(topo, noisy, ds, cfg, seed=6).weights
+    b = train(topo, clean, ds, cfg, seed=6).weights
+
+    on = noisy.scheduled(topo).astype(bool)
+    K = topo.samples[on].astype(float)
+    sig = noisy.sigmas[on]
+    assert len(set(sig)) == sig.size and (sig == 0.0).any()
+    expect = float(np.sum((K * sig / K.sum()) ** 2))
+
+    # the paper's per-user mechanisms, drawn user by user, have the same law
+    from fedcell import seeding
+    w0, grad = per_user_gradients(ds, topo, 6)
+    one_round = lambda sigmas: two_level_round(
+        grad, w0, cells, topo.samples, sigmas, cfg.clip, cfg.step,
+        lambda s, u: seeding.stream(6, seeding.NOISE, 0, s, u))
+    per_user = one_round(noisy.sigmas) - one_round(clean.sigmas)
+
+    for diff in (a - b, per_user):
+        nu = diff / -cfg.step
+        n = nu.size
+        assert abs(nu.mean()) <= 5.0 * np.sqrt(expect / n)
+        assert abs(nu.var() - expect) <= 5.0 * expect * np.sqrt(2.0 / n)
 
 
 def test_train_metrics_lengths_and_determinism():
