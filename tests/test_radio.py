@@ -189,6 +189,17 @@ def test_power_system_equals_oracle_loop(seed):
     assert (got[0] < 0).any(), "the draw needs co-channel users"
 
 
+def test_power_system_empty_schedule_equals_oracle_loop():
+    cfg, topo = two_cell_topology(seed=7, users=10)
+    alloc = empty_allocation(topo, cfg.num_rbs)
+    got = power_system(topo, alloc, cfg)
+    expect = oracles.power_system(topo, alloc, cfg)
+    assert got[0].shape == (0, 0)
+    assert got[1].size == 0 and got[2].size == 0
+    for a, b in zip(got, expect):
+        assert np.array_equal(a, b)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 1000), users=st.integers(8, 30))
 def test_uplink_rate_matches_oracle_property(seed, users):
