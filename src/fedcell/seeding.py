@@ -1,7 +1,8 @@
 """Deterministic derivation of independent random streams.
 
 Every random draw in the simulator comes from a generator keyed by the run
-seed plus a fixed purpose tag (and, for training noise, the round index).  Streams therefore never depend on evaluation order.
+seed plus a fixed purpose tag (and, for training noise, the round index).
+Streams therefore never depend on evaluation order.
 """
 from __future__ import annotations
 

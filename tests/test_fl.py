@@ -8,8 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import gradient_descent, two_level_round
 
+from fedcell import seeding
 from fedcell.config import full_scale_config
-from fedcell.data import load_dataset
+from fedcell.data import build_shards, load_dataset
 from fedcell.fl import (TrainDivergedError, bs_aggregate, clip_global_norm,
                         gaussian_mechanism, global_aggregate, local_gradient,
                         local_update, noise_stream, train, weighted_model_mean)
@@ -122,8 +123,6 @@ def test_noiseless_single_cell_equals_batch_descent():
     alloc = everyone_scheduled(cfg, topo)
     state = train(topo, alloc, ds, cfg, seed=0)
 
-    from fedcell.data import build_shards
-    from fedcell import seeding
     model = Mlp(ds.input_dim, ds.num_classes)
     w0 = model.init_params(np.random.default_rng(seeding.subseed(0, seeding.WEIGHTS)))
     shards = build_shards(ds, topo, 0)
@@ -155,8 +154,6 @@ def three_cell_setup(sigmas=None, **over):
 
 def per_user_gradients(ds, topo, seed):
     """Initial weights and user u's full-batch gradient, as train builds them."""
-    from fedcell.data import build_shards
-    from fedcell import seeding
     model = Mlp(ds.input_dim, ds.num_classes)
     w0 = model.init_params(np.random.default_rng(seeding.subseed(seed, seeding.WEIGHTS)))
     shards = build_shards(ds, topo, seed)
@@ -190,7 +187,6 @@ def test_round_noise_has_the_summed_users_variance():
     expect = float(np.sum((K * sig / K.sum()) ** 2))
 
     # the paper's per-user mechanisms, drawn user by user, have the same law
-    from fedcell import seeding
     w0, grad = per_user_gradients(ds, topo, 6)
     one_round = lambda sigmas: two_level_round(
         grad, w0, cells, topo.samples, sigmas, cfg.clip, cfg.step,
@@ -225,7 +221,6 @@ def test_train_zero_rounds_returns_init():
     ds = load_dataset(cfg)
     alloc = everyone_scheduled(cfg, topo)
     state = train(topo, alloc, ds, cfg, seed=2)
-    from fedcell import seeding
     model = Mlp(ds.input_dim, ds.num_classes)
     w0 = model.init_params(np.random.default_rng(seeding.subseed(2, seeding.WEIGHTS)))
     assert np.array_equal(state.weights, w0)
@@ -241,7 +236,6 @@ def test_unscheduled_users_never_touch_their_data():
     alloc.rb[0][topo.local_index[0], :] = 0
     clean = train(topo, alloc, ds, cfg, seed=3)
 
-    from fedcell import seeding
     rng = np.random.default_rng(seeding.subseed(3, seeding.SHARDS))
     perm = rng.permutation(ds.train_x.shape[0])[:int(topo.samples.sum())]
     user0_rows = perm[:int(topo.samples[0])]  # first slice belongs to user 0
