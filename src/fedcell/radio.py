@@ -3,8 +3,14 @@
 A user scheduled on resource block n is heard by every other base station on
 the same block, so required powers couple across cells.  Setting each
 scheduled user's SNR-gap equation to equality gives a linear system
-A p = b; powers solve min ||A p - b||_1 subject to 0 <= p <= p_max, which
-returns the exact fixed point whenever one exists inside the box.
+A p = b; powers solve min ||A p - b||_1 subject to 0 <= p <= p_max.  Users
+couple only through a shared block, so A is block diagonal by resource
+block, with one row per cell at most in each block.  Each block is solved
+directly; a solution inside the box is the exact zero-residual optimum (the
+Foschini-Miljanic fixed point, without the iteration).  The blocks whose
+solution leaves the box go through one linear program in scaled units,
+because powers of a few nW lie below the LP solver's absolute tolerance in
+watts.
 
 Interference and rates have one path: `interference` gives every base
 station's co-channel power on every block at once, and `uplink_rate` turns
@@ -120,27 +126,65 @@ def power_system(topo: Topology, alloc: Allocation, config: SystemConfig):
 
 
 def solve_powers(topo: Topology, alloc: Allocation, config: SystemConfig) -> np.ndarray:
-    """Box-constrained L1 fit of the coupled power system.
+    """Box-constrained L1 fit of the coupled power system, block by block.
 
-    Splits the residual as A p - b = u - v with u, v >= 0 and minimises
-    1.(u + v) by linear programming, so an interior fixed point comes back
-    with zero residual.
+    Every resource block's rows of A p = b are solved directly, all blocks
+    in one batched call (each padded to the largest block with identity rows
+    and zero demand).  A block whose solution lies in [0, p_max] keeps it:
+    that is the zero-residual optimum.  The other blocks, or all of them when
+    a block is singular, go to one linear program over their rows,
+    min 1.t subject to -t <= A p - b <= t, 0 <= p <= p_max, solved in scaled
+    units: p = p_max y, row j divided by b_j and its slack weighted by
+    b_j / max b.  The objective is the watt-unit one divided by max b, so
+    the optimum set is the same, but every row and column is of order one;
+    in watts, a user who needs a few nW sits below the solver's absolute
+    tolerance and comes back with no power.
     """
     A, b, sched = power_system(topo, alloc, config)
     powers = np.zeros(topo.num_users)
-    m = sched.size
-    if m == 0:
+    if sched.size == 0:
         return powers
-    c = np.concatenate([np.zeros(m), np.ones(m)])
+    _, group, size = np.unique(alloc.rb_index(topo)[sched], return_inverse=True,
+                               return_counts=True)
+    # slot[j]: position of row j inside its block
+    order = np.argsort(group, kind="stable")
+    slot = np.empty(sched.size, dtype=np.int64)
+    slot[order] = np.arange(sched.size) - np.repeat(np.cumsum(size) - size, size)
+    same = np.flatnonzero(group[:, None] == group[None, :])
+    j, k = np.divmod(same, sched.size)
+    stack = np.tile(np.eye(size.max()), (size.size, 1, 1))
+    stack[group[j], slot[j], slot[k]] = A[j, k]
+    rhs = np.zeros((size.size, size.max(), 1))
+    rhs[group, slot, 0] = b
+    try:
+        direct = np.linalg.solve(stack, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        direct = np.full(stack.shape[:2], np.nan)
+    # a NaN or infinite power fails both comparisons
+    inside = np.all((direct >= 0.0) & (direct <= config.p_max), axis=1)
+    kept = inside[group]
+    powers[sched[kept]] = direct[group[kept], slot[kept]]
+    rest = np.flatnonzero(~kept)
+    if rest.size:
+        powers[sched[rest]] = config.p_max * _scaled_lp(A[np.ix_(rest, rest)], b[rest],
+                                                        config.p_max)
+    return powers
+
+
+def _scaled_lp(A: np.ndarray, b: np.ndarray, p_max: float) -> np.ndarray:
+    """y in [0, 1] minimising sum_j (b_j / max b) |(p_max (A y)_j - b_j) / b_j|,
+    that is ||A p - b||_1 / max b at p = p_max y."""
+    m = b.size
+    scaled = A * (p_max / b[:, None])
     eye = np.eye(m)
-    a_ub = np.block([[A, -eye], [-A, -eye]])
-    b_ub = np.concatenate([b, -b])
-    bounds = [(0.0, config.p_max)] * m + [(0.0, None)] * m
+    c = np.concatenate([np.zeros(m), b / b.max()])
+    a_ub = np.block([[scaled, -eye], [-scaled, -eye]])
+    b_ub = np.concatenate([np.ones(m), -np.ones(m)])
+    bounds = [(0.0, 1.0)] * m + [(0.0, None)] * m
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise PowerSolveError(f"power program failed: {res.message}")
-    powers[sched] = np.clip(res.x[:m], 0.0, config.p_max)
-    return powers
+    return np.clip(res.x[:m], 0.0, 1.0)
 
 
 def enforce_rate(topo: Topology, alloc: Allocation, config: SystemConfig) -> Allocation:

@@ -12,6 +12,7 @@ import math
 import struct
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def brute_force_cell(problem):
@@ -247,6 +248,31 @@ def power_system(topo, alloc, config):
                 continue
             A[j, k] = -gap * topo.gains[s, v] / h_own
     return A, b, sched
+
+
+def solve_powers_lp(topo, alloc, config):
+    """Powers minimising ||A p - b||_1 over 0 <= p <= p_max: one joint linear
+    program over every scheduled user, in watts, with one slack per row.
+
+    HiGHS works to an absolute tolerance of about 1e-7, so a user whose exact
+    power is a few nW can come back with none.  Returns (num_users,) powers,
+    or None when the program fails.
+    """
+    A, b, sched = power_system(topo, alloc, config)
+    powers = np.zeros(topo.num_users)
+    m = sched.size
+    if m == 0:
+        return powers
+    c = np.concatenate([np.zeros(m), np.ones(m)])
+    eye = np.eye(m)
+    a_ub = np.block([[A, -eye], [-A, -eye]])
+    b_ub = np.concatenate([b, -b])
+    bounds = [(0.0, config.p_max)] * m + [(0.0, None)] * m
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        return None
+    powers[sched] = np.clip(res.x[:m], 0.0, config.p_max)
+    return powers
 
 
 def validate_allocation(alloc, topo, config):

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 
 import oracles
 
-from fedcell.config import full_scale_config
+from fedcell.config import full_scale_config, load_config
 from fedcell.radio import (empty_allocation, enforce_rate, interference,
                            power_system, snr_gap, solve_powers, uplink_rate)
+from fedcell.scheduler import opt_sched
 from fedcell.topology import generate_topology
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_snr_gap_reference_value():
@@ -99,7 +104,6 @@ def single_user_setup(h=1e-10):
     # pin the gain to a known value through a rebuilt topology copy
     gains = np.full_like(topo.gains, h)
     gains.setflags(write=False)
-    from dataclasses import replace
     topo = replace(topo, gains=gains)
     alloc = empty_allocation(topo, cfg.num_rbs)
     alloc.rb[0][0, 0] = 1
@@ -223,19 +227,18 @@ def test_uplink_rate_matches_oracle_property(seed, users):
 
 
 def test_solve_powers_reaches_interior_fixed_point():
-    cfg, topo = two_cell_topology(seed=6, users=16)
+    # the smallest exact power of this draw is 0.37 uW
+    cfg, topo = two_cell_topology(seed=10, users=16)
     alloc = schedule_everyone_round_robin(topo, cfg)
     p = solve_powers(topo, alloc, cfg)
     A, b, sched = power_system(topo, alloc, cfg)
     direct = np.linalg.solve(A, b)
-    if np.all(direct >= 0) and np.all(direct <= cfg.p_max):
-        assert p[sched] == pytest.approx(direct, rel=1e-6, abs=1e-15)
-        alloc.powers = p
-        assert uplink_rate(alloc, topo, cfg)[sched] == pytest.approx(
-            np.full(sched.size, cfg.r_min), rel=1e-6)
-    else:
-        assert np.all(p[sched] <= cfg.p_max * (1 + 1e-12))
-        assert np.all(p[sched] >= 0.0)
+    assert np.all(direct > 0) and np.all(direct < cfg.p_max), "the draw must be interior"
+    assert (A[~np.eye(sched.size, dtype=bool)] < 0).any(), "the draw needs co-channel users"
+    assert p[sched] == pytest.approx(direct, rel=1e-9, abs=0.0)
+    alloc.powers = p
+    assert uplink_rate(alloc, topo, cfg)[sched] == pytest.approx(
+        np.full(sched.size, cfg.r_min), rel=1e-9)
 
 
 def test_solve_powers_empty_schedule():
@@ -246,9 +249,9 @@ def test_solve_powers_empty_schedule():
 
 
 def test_solve_powers_respects_cap():
-    # force an unreachable demand by crushing one user's gain
+    # force an unreachable demand by crushing one user's gain; its block
+    # leaves the box, and every other block keeps its exact powers
     cfg, topo = two_cell_topology(seed=8, users=12)
-    from dataclasses import replace
     gains = topo.gains.copy()
     users0 = topo.cell_users[0]
     assert users0.size > 0
@@ -260,6 +263,64 @@ def test_solve_powers_respects_cap():
     p = solve_powers(topo, alloc, cfg)
     assert p.max() <= cfg.p_max * (1 + 1e-12)
     assert p[weak] == pytest.approx(cfg.p_max, rel=1e-9)
+    A, b, sched = power_system(topo, alloc, cfg)
+    blocks = alloc.rb_index(topo)[sched]
+    others = [n for n in np.unique(blocks) if n != blocks[sched == weak][0]]
+    assert others, "the draw needs a second block"
+    for n in others:
+        rows = np.flatnonzero(blocks == n)
+        direct = np.linalg.solve(A[np.ix_(rows, rows)], b[rows])
+        assert np.all((direct >= 0) & (direct <= cfg.p_max)), f"block {n} must be interior"
+        assert p[sched[rows]] == pytest.approx(direct, rel=1e-9, abs=0.0)
+
+
+def random_schedule(seed, users, num_rbs):
+    """Every cell schedules a random number of its users on distinct random
+    blocks, so blocks carry anywhere from zero to seven co-channel users."""
+    cfg = full_scale_config(total_users=users, total_samples=users * 50, num_rbs=num_rbs)
+    topo = generate_topology(cfg, seed)
+    rng = np.random.default_rng(seed)
+    alloc = empty_allocation(topo, cfg.num_rbs)
+    for s, members in enumerate(topo.cell_users):
+        k = rng.integers(0, min(members.size, cfg.num_rbs) + 1)
+        alloc.rb[s][rng.choice(members.size, k, replace=False),
+                    rng.choice(cfg.num_rbs, k, replace=False)] = 1
+    return cfg, topo, alloc
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), users=st.integers(8, 40), num_rbs=st.integers(1, 8))
+def test_solve_powers_matches_direct_blocks_and_lp_oracle_property(seed, users, num_rbs):
+    cfg, topo, alloc = random_schedule(seed, users, num_rbs)
+    p = solve_powers(topo, alloc, cfg)
+    assert np.all((p >= 0.0) & (p <= cfg.p_max))
+    A, b, sched = power_system(topo, alloc, cfg)
+    assert np.all(p[np.setdiff1d(np.arange(topo.num_users), sched)] == 0.0)
+    blocks = alloc.rb_index(topo)[sched]
+    for n in np.unique(blocks):
+        rows = np.flatnonzero(blocks == n)
+        direct = np.linalg.solve(A[np.ix_(rows, rows)], b[rows])
+        if np.all((direct >= 0) & (direct <= cfg.p_max)):
+            assert p[sched[rows]] == pytest.approx(direct, rel=1e-9, abs=0.0)
+    expect = oracles.solve_powers_lp(topo, alloc, cfg)
+    assert expect is not None
+    # the scaled program meets each row to the solver's tolerance of about
+    # 1e-7 in units of that row's b_j; the watt-unit oracle is no closer
+    ours = np.abs(A @ p[sched] - b).sum()
+    theirs = np.abs(A @ expect[sched] - b).sum()
+    assert ours <= theirs + 1e-7 * b.sum()
+
+
+@pytest.mark.parametrize("name", ["full_scale_r5", "full_scale_r8"])
+def test_solve_powers_keeps_a_user_who_needs_nanowatts(name):
+    # golden replica 4: in watts, user 12's exact power of about 4.4 nW lies
+    # below the LP solver's tolerance, and a watt-unit solve drops the user
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    topo = generate_topology(cfg, 4)
+    alloc = opt_sched(topo, cfg, 4)
+    assert alloc.scheduled(topo)[12] == 1
+    assert alloc.powers[12] == pytest.approx(4.4e-9, rel=0.05)
+    assert uplink_rate(alloc, topo, cfg)[12] >= cfg.r_min * (1.0 - 1e-6)
 
 
 def test_enforce_rate_keeps_satisfied_users():
