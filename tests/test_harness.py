@@ -1,9 +1,11 @@
 """Experiment harness: replica pairing, row ordering, csv bytes."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fedcell.harness
-from fedcell.config import full_scale_config
+from fedcell.config import full_scale_config, load_config
 from fedcell.dp import InfeasibleNoiseError
 from fedcell.harness import (ALGORITHMS, CSV_NAMES, ExperimentSpec,
                              MetricsTable, ReplicaRecord, _fmt, allocate,
@@ -228,3 +230,21 @@ def test_output_bytes_do_not_depend_on_job_count(tmp_path):
         left = (dirs[0] / name).read_bytes()
         right = (dirs[1] / name).read_bytes()
         assert left == right, name
+
+
+def test_sweep_keeps_opt_and_dp_orderings():
+    # the orderings every schedule-only sweep must keep, per replica:
+    # opt no worse than rnd, opt+dp no worse than opt, and C3 satisfied
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in ("full_scale_r5.yaml", "full_scale_r8.yaml"):
+        for seed_base in (0, 5_000_000):
+            spec = ExperimentSpec(config=load_config(configs / name), replicas=50,
+                                  seed_base=seed_base)
+            table = run_experiment(spec)
+            assert table.errors == []
+            assert all(r.c3_ok for r in table.rows)
+            rnd, opt = table.paired("objective", "rnd", "opt")
+            _, dp = table.paired("objective", "opt", "opt+dp")
+            assert rnd.size == dp.size == 50
+            assert np.all(opt <= rnd * (1.0 + 1e-12))
+            assert np.all(dp <= opt * (1.0 + 1e-12))
