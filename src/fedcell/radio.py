@@ -146,12 +146,9 @@ def solve_powers(topo: Topology, alloc: Allocation, config: SystemConfig) -> np.
         return powers
     _, group, size = np.unique(alloc.rb_index(topo)[sched], return_inverse=True,
                                return_counts=True)
-    # slot[j]: position of row j inside its block
-    order = np.argsort(group, kind="stable")
-    slot = np.empty(sched.size, dtype=np.int64)
-    slot[order] = np.arange(sched.size) - np.repeat(np.cumsum(size) - size, size)
-    same = np.flatnonzero(group[:, None] == group[None, :])
-    j, k = np.divmod(same, sched.size)
+    same = group[:, None] == group[None, :]
+    slot = np.tril(same, -1).sum(axis=1)   # row j's position inside its block
+    j, k = np.nonzero(same)
     stack = np.tile(np.eye(size.max()), (size.size, 1, 1))
     stack[group[j], slot[j], slot[k]] = A[j, k]
     rhs = np.zeros((size.size, size.max(), 1))

@@ -241,6 +241,21 @@ def test_solve_powers_reaches_interior_fixed_point():
         np.full(sched.size, cfg.r_min), rel=1e-9)
 
 
+
+def test_solve_powers_sends_every_block_to_the_lp_when_a_solve_fails(monkeypatch):
+    cfg, topo = two_cell_topology(seed=10, users=16)
+    alloc = schedule_everyone_round_robin(topo, cfg)
+    A, b, sched = power_system(topo, alloc, cfg)
+    direct = np.linalg.solve(A, b)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    p = solve_powers(topo, alloc, cfg)
+    # the scaled program meets each row to about 1e-7 of its b_j
+    assert p[sched] == pytest.approx(direct, rel=1e-6, abs=0.0)
+
 def test_solve_powers_empty_schedule():
     cfg, topo = two_cell_topology(seed=7, users=10)
     alloc = empty_allocation(topo, cfg.num_rbs)
