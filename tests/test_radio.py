@@ -241,7 +241,6 @@ def test_solve_powers_reaches_interior_fixed_point():
         np.full(sched.size, cfg.r_min), rel=1e-9)
 
 
-
 def test_solve_powers_sends_every_block_to_the_lp_when_a_solve_fails(monkeypatch):
     cfg, topo = two_cell_topology(seed=10, users=16)
     alloc = schedule_everyone_round_robin(topo, cfg)
@@ -255,6 +254,7 @@ def test_solve_powers_sends_every_block_to_the_lp_when_a_solve_fails(monkeypatch
     p = solve_powers(topo, alloc, cfg)
     # the scaled program meets each row to about 1e-7 of its b_j
     assert p[sched] == pytest.approx(direct, rel=1e-6, abs=0.0)
+
 
 def test_solve_powers_empty_schedule():
     cfg, topo = two_cell_topology(seed=7, users=10)
