@@ -56,7 +56,7 @@ class BoundConstants:
 
 def evaluate_bound(topo: Topology, alloc: Allocation, config: SystemConfig,
                    dim: int) -> BoundConstants:
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
     total = K.sum()
     k_a = K[mask].sum()
@@ -75,7 +75,7 @@ def c3_constraint_check(topo: Topology, alloc: Allocation, config: SystemConfig,
                         rel_tol: float = 1e-8) -> bool:
     """True when the scheduled noise variance respects its budget:
     sum K sigma^2 a <= v_max sum K a (within rel_tol)."""
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     K = topo.samples[mask].astype(float)
     lhs = float(K @ alloc.sigmas[mask] ** 2)
     rhs = config.v_max * float(K.sum())

@@ -79,17 +79,16 @@ def cmd_schedule(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rb_idx = alloc.rb_index(topo)
     with open(out_dir / "allocation.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["user", "cell", "samples", "block", "power_w", "sigma", "rate_bit_s"])
         rates = uplink_rate(alloc, topo, config)
         for u in range(topo.num_users):
             wr.writerow([u, int(topo.assignment[u]), int(topo.samples[u]),
-                         int(rb_idx[u]), repr(float(alloc.powers[u])),
+                         int(alloc.block[u]), repr(float(alloc.powers[u])),
                          repr(float(alloc.sigmas[u])), repr(float(rates[u]))])
 
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
     with open(out_dir / "cell_objectives.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -113,7 +112,7 @@ def cmd_privacy(args) -> int:
     topo = generate_topology(config, seed)
     alloc = allocate(args.algorithm, topo, config, seed)
     report = leakage_report(topo, alloc, config)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     fh, close = _open_out(args.out)
     try:
         wr = csv.writer(fh)

@@ -36,7 +36,7 @@ def leakage(rounds: int, clip: float, samples: float, sigma: float) -> float:
 
 
 def total_leakage(topo: Topology, alloc: Allocation, config: SystemConfig) -> float:
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     if (alloc.sigmas[mask] <= 0.0).any():
         raise ValueError("scheduled users need a positive noise scale")
     K = topo.samples[mask].astype(float)
@@ -53,7 +53,7 @@ class LeakageReport:
 
 
 def leakage_report(topo: Topology, alloc: Allocation, config: SystemConfig) -> LeakageReport:
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     rho = np.zeros(topo.num_users)
     for u in np.flatnonzero(mask):
         rho[u] = leakage(config.rounds, config.clip,
@@ -74,7 +74,7 @@ def optimize_noise(topo: Topology, alloc: Allocation, config: SystemConfig) -> n
     kappa, so kappa comes from a geometric bisection; unscheduled users get
     sigma zero.
     """
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise InfeasibleNoiseError("nothing to optimise: no user is scheduled")

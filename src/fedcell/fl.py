@@ -98,7 +98,7 @@ def train(topo: Topology, alloc: Allocation, dataset: Dataset,
 
     The schedule is fixed throughout; only scheduled users participate.
     """
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
     total = K[mask].sum()
     if total <= 0.0:

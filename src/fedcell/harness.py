@@ -169,7 +169,7 @@ def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
     for alg in algorithms:
         try:
             alloc = done[alg] = allocate(alg, topo, config, seed, done)
-            mask = alloc.scheduled(topo).astype(bool)
+            mask = alloc.scheduled(topo)
             # every user dropped by the rate floor; `done` keeps the empty
             # allocation, so opt+dp fails on it without solving again
             if not mask.any():

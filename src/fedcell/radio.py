@@ -12,9 +12,12 @@ solution leaves the box go through one linear program in scaled units,
 because powers of a few nW lie below the LP solver's absolute tolerance in
 watts.
 
+An allocation stores one block id per user (-1 when unscheduled), the
+vector that rates, the power system and the per-block solve index by.
 Interference and rates have one path: `interference` gives every base
-station's co-channel power on every block at once, and `uplink_rate` turns
-one such matrix into every user's rate.  Rate enforcement, the scheduler's
+station's co-channel power on every block at once, adding each entry's
+terms in ascending serving-cell order, and `uplink_rate` turns one such
+matrix into every user's rate.  Rate enforcement, the scheduler's
 feasibility test and the `schedule` csv all use it.
 """
 from __future__ import annotations
@@ -34,42 +37,28 @@ class PowerSolveError(RuntimeError):
 
 @dataclass
 class Allocation:
-    """Resource blocks, transmit powers, and noise scales for every user.
+    """Resource block, transmit power, and noise scale of every user.
 
-    rb holds one (cell users x num_rbs) 0/1 matrix per cell, rows ordered like
-    topology.cell_users.  powers and sigmas are global (num_users,) arrays;
-    powers are zero for unscheduled users.  A user holds at most one block,
-    as the schedulers guarantee; `rb_index`, `uplink_rate` and
-    `power_system` rely on it.
+    All three are global (num_users,) arrays.  block[u] is the resource block
+    user u holds in its own cell, -1 when unscheduled, so a user holds at
+    most one block; no two users of a cell share one, as the schedulers
+    guarantee.  powers are zero for unscheduled users.
     """
-    rb: list
+    block: np.ndarray
     powers: np.ndarray
     sigmas: np.ndarray
 
     def copy(self) -> "Allocation":
-        return Allocation([m.copy() for m in self.rb],
-                          self.powers.copy(), self.sigmas.copy())
+        return Allocation(self.block.copy(), self.powers.copy(), self.sigmas.copy())
 
     def scheduled(self, topo: Topology) -> np.ndarray:
-        """0/1 vector over users: 1 when the user holds a resource block."""
-        mask = np.zeros(topo.num_users, dtype=np.int8)
-        for s, users in enumerate(topo.cell_users):
-            if users.size:
-                mask[users] = self.rb[s].sum(axis=1).astype(np.int8)
-        return mask
-
-    def rb_index(self, topo: Topology) -> np.ndarray:
-        """Resource block per user, -1 when unscheduled."""
-        idx = np.full(topo.num_users, -1, dtype=np.int64)
-        for s, users in enumerate(topo.cell_users):
-            held = self.rb[s].any(axis=1)
-            idx[users[held]] = self.rb[s][held].argmax(axis=1)
-        return idx
+        """Boolean vector over users: True when the user holds a resource block."""
+        return self.block >= 0
 
 
-def empty_allocation(topo: Topology, num_rbs: int) -> Allocation:
-    rb = [np.zeros((users.size, num_rbs), dtype=np.int8) for users in topo.cell_users]
-    return Allocation(rb, np.zeros(topo.num_users), np.zeros(topo.num_users))
+def empty_allocation(topo: Topology) -> Allocation:
+    return Allocation(np.full(topo.num_users, -1), np.zeros(topo.num_users),
+                      np.zeros(topo.num_users))
 
 
 def snr_gap(config: SystemConfig) -> float:
@@ -79,25 +68,28 @@ def snr_gap(config: SystemConfig) -> float:
 
 def interference(alloc: Allocation, topo: Topology, num_rbs: int) -> np.ndarray:
     """(num_cells, num_rbs) received power at every base station on every
-    block from the users served by other cells."""
-    out = np.zeros((topo.num_cells, num_rbs))
-    for other, users in enumerate(topo.cell_users):
-        if users.size == 0:
-            continue
-        # received power at every BS from cell `other`'s users, per block
-        contrib = (topo.gains[:, users] * alloc.powers[users]) @ alloc.rb[other]
-        contrib[other] = 0.0   # a cell does not interfere with itself
-        out += contrib
-    return out
+    block from the users served by other cells.
+
+    Each entry adds its terms one by one in ascending serving-cell order,
+    at most one per cell.
+    """
+    users = np.concatenate(topo.cell_users)
+    users = users[alloc.block[users] >= 0]
+    # received power at every BS from every scheduled user; a cell does not
+    # interfere with itself
+    heard = topo.gains[:, users] * alloc.powers[users]
+    heard[topo.assignment[users], np.arange(users.size)] = 0.0
+    bins = np.arange(topo.num_cells)[:, None] * num_rbs + alloc.block[users]
+    out = np.bincount(bins.ravel(), heard.ravel(), minlength=topo.num_cells * num_rbs)
+    return out.reshape(topo.num_cells, num_rbs)
 
 
 def uplink_rate(alloc: Allocation, topo: Topology, config: SystemConfig) -> np.ndarray:
     """(num_users,) achievable rate of every user at its serving base
     station, bit/s; zero for unscheduled users."""
-    rb_idx = alloc.rb_index(topo)
-    on = np.flatnonzero(rb_idx >= 0)
+    on = np.flatnonzero(alloc.scheduled(topo))
     cells = topo.assignment[on]
-    inter = interference(alloc, topo, config.num_rbs)[cells, rb_idx[on]]
+    inter = interference(alloc, topo, config.num_rbs)[cells, alloc.block[on]]
     snr = alloc.powers[on] * topo.gains[cells, on] / (inter + config.bandwidth * config.noise_psd)
     rate = np.zeros(topo.num_users)
     rate[on] = config.bandwidth * np.log2(1.0 + snr)
@@ -110,11 +102,10 @@ def power_system(topo: Topology, alloc: Allocation, config: SystemConfig):
     Row j demands user j's SNR on its block equals the gap, with co-channel
     users of other cells appearing through negative off-diagonal entries.
     """
-    rb_idx = alloc.rb_index(topo)
-    sched = np.flatnonzero(rb_idx >= 0)
+    sched = np.flatnonzero(alloc.scheduled(topo))
     gap = snr_gap(config)
     cells = topo.assignment[sched]
-    blocks = rb_idx[sched]
+    blocks = alloc.block[sched]
     h_own = topo.gains[cells, sched]
     b = gap * config.bandwidth * config.noise_psd / h_own
     # A[j, k] couples user k into user j's base station on a shared block
@@ -144,7 +135,7 @@ def solve_powers(topo: Topology, alloc: Allocation, config: SystemConfig) -> np.
     powers = np.zeros(topo.num_users)
     if sched.size == 0:
         return powers
-    _, group, size = np.unique(alloc.rb_index(topo)[sched], return_inverse=True,
+    _, group, size = np.unique(alloc.block[sched], return_inverse=True,
                                return_counts=True)
     same = group[:, None] == group[None, :]
     slot = np.tril(same, -1).sum(axis=1)   # row j's position inside its block
@@ -193,10 +184,8 @@ def enforce_rate(topo: Topology, alloc: Allocation, config: SystemConfig) -> All
     out = alloc.copy()
     floor = config.r_min * (1.0 - 1e-6)
     while True:
-        mask = out.scheduled(topo).astype(bool)
-        bad = np.flatnonzero(mask & (uplink_rate(out, topo, config) < floor))
+        bad = np.flatnonzero(out.scheduled(topo) & (uplink_rate(out, topo, config) < floor))
         if not bad.size:
             return out
-        for u in bad:
-            out.rb[topo.assignment[u]][topo.local_index[u], :] = 0
+        out.block[bad] = -1
         out.powers[bad] = 0.0

@@ -54,7 +54,7 @@ class CellProblem:
 
 @dataclass
 class ScheduleSolution:
-    rb: np.ndarray               # (users, blocks) 0/1
+    block: np.ndarray            # (users,) block id in the cell, -1 when unscheduled
     objective: float             # cell share of the global objective
     status: str = "exact"
 
@@ -70,8 +70,7 @@ def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
     req = gap * (inter[None, :] + config.bandwidth * config.noise_psd) / h[:, None]
     feasible = req <= config.p_max * (1.0 + 1e-12)
 
-    mask = alloc.scheduled(topo).astype(bool)
-    foreign = mask & (topo.assignment != cell)
+    foreign = alloc.scheduled(topo) & (topo.assignment != cell)
     fk = topo.samples[foreign].astype(float)
     fsig = alloc.sigmas[foreign]
     return CellProblem(
@@ -216,30 +215,26 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
         raise ScheduleInfeasibleError(
             f"cell {problem.cell}: no user set fits the noise budget")
 
-    blocks = _lex_min_blocks(best_set, rb_sets)
-    rb = np.zeros((U, R), dtype=np.int8)
-    for i, nb in blocks.items():
-        rb[i, nb] = 1
-    x = np.zeros(U)
-    if best_set:
-        x[list(best_set)] = 1.0
+    block = np.full(U, -1)
+    for i, nb in _lex_min_blocks(best_set, rb_sets).items():
+        block[i] = nb
+    x = (block >= 0).astype(float)
     objective = float(np.sum(K * (1.0 - x)) + problem.gamma * np.sum(w * x))
-    return ScheduleSolution(rb=rb, objective=objective)
+    return ScheduleSolution(block=block, objective=objective)
 
 
 def _init_state(topo: Topology, config: SystemConfig, seed: int):
     """Shared random starting point: shuffled round-robin blocks, uniform
     powers, uniform sigma * K in [n_min, 6 n_min]."""
     rng = np.random.default_rng(seeding.subseed(seed, seeding.INIT))
-    alloc = empty_allocation(topo, config.num_rbs)
-    for s, users in enumerate(topo.cell_users):
+    alloc = empty_allocation(topo)
+    for users in topo.cell_users:
         if users.size == 0:
             continue
-        perm = rng.permutation(users.size)
-        for j in range(min(users.size, config.num_rbs)):
-            alloc.rb[s][perm[j], j] = 1
+        take = min(users.size, config.num_rbs)
+        alloc.block[users[rng.permutation(users.size)[:take]]] = np.arange(take)
     p_draw = rng.uniform(0.0, config.p_max, topo.num_users)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
     cap = config.v_max * K[mask].sum()
     for _ in range(100):
@@ -276,16 +271,15 @@ def opt_sched(topo: Topology, config: SystemConfig, seed: int) -> Allocation:
             if users.size == 0:
                 continue
             sol = solve_cell_schedule(build_cell_problem(topo, alloc, s, config))
-            alloc.rb[s] = sol.rb.copy()
-            on = sol.rb.sum(axis=1) == 1
-            alloc.powers[users] = np.where(on, p_draw[users], 0.0)
+            alloc.block[users] = sol.block
+            alloc.powers[users] = np.where(sol.block >= 0, p_draw[users], 0.0)
     alloc.powers = solve_powers(topo, alloc, config)
     return enforce_rate(topo, alloc, config)
 
 
 def objective_value(topo: Topology, alloc: Allocation, config: SystemConfig) -> float:
     """sum K (1 - a) + gamma * sum a / (K sigma)^2 over all users."""
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     if (alloc.sigmas[mask] <= 0.0).any():
         raise ValueError("scheduled users need a positive noise scale")
     return objective_sum(topo.samples.astype(float), mask, alloc.sigmas, config.gamma)

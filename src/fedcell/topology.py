@@ -25,7 +25,6 @@ class Topology:
     gains: np.ndarray          # (S, U) linear power gain BS s <- user i
     samples: np.ndarray        # (U,) training samples held by each user
     cell_users: tuple          # per cell, ascending global user ids
-    local_index: np.ndarray    # (U,) row of the user inside its own cell
 
     @property
     def num_cells(self) -> int:
@@ -112,11 +111,7 @@ def generate_topology(config: SystemConfig, seed: int) -> Topology:
     samples = partition_samples(config, config.total_users, seed)
 
     cell_users = tuple(np.flatnonzero(assignment == s) for s in range(len(centers)))
-    local_index = np.empty(config.total_users, dtype=np.int64)
-    for users in cell_users:
-        local_index[users] = np.arange(users.size)
-
-    for arr in (centers, positions, assignment, distances, gains, samples, local_index):
+    for arr in (centers, positions, assignment, distances, gains, samples):
         arr.setflags(write=False)
     return Topology(centers, positions, assignment, distances, gains,
-                    samples, cell_users, local_index)
+                    samples, cell_users)

@@ -188,8 +188,7 @@ def interference(alloc, topo, cell, rb):
     for other, users in enumerate(topo.cell_users):
         if other == cell or users.size == 0:
             continue
-        on_rb = users[alloc.rb[other][:, rb] == 1]
-        for u in on_rb:
+        for u in users[alloc.block[users] == rb]:
             total += topo.gains[cell, u] * alloc.powers[u]
     return total
 
@@ -199,16 +198,15 @@ def _snr_gap(config):
 
 
 def uplink_rate(alloc, topo, config, user):
-    """Rate of `user` at its serving base station, bit/s: Shannon rate summed
-    over every block the user holds, each against that block's interference."""
+    """Rate of `user` at its serving base station, bit/s: the Shannon rate of
+    its block against that block's interference; zero when unscheduled."""
     cell = int(topo.assignment[user])
-    row = alloc.rb[cell][topo.local_index[user]]
-    rate = 0.0
-    for n in np.flatnonzero(row):
-        denom = interference(alloc, topo, cell, int(n)) + config.bandwidth * config.noise_psd
-        snr = alloc.powers[user] * topo.gains[cell, user] / denom
-        rate += config.bandwidth * math.log2(1.0 + snr)
-    return rate
+    n = int(alloc.block[user])
+    if n < 0:
+        return 0.0
+    denom = interference(alloc, topo, cell, n) + config.bandwidth * config.noise_psd
+    snr = alloc.powers[user] * topo.gains[cell, user] / denom
+    return config.bandwidth * math.log2(1.0 + snr)
 
 
 def required_power(topo, alloc, config, user, rb=None):
@@ -217,10 +215,9 @@ def required_power(topo, alloc, config, user, rb=None):
     block is named; with `rb` given, answers for that hypothetical block."""
     cell = int(topo.assignment[user])
     if rb is None:
-        cols = np.flatnonzero(alloc.rb[cell][topo.local_index[user]])
-        if cols.size == 0:
+        if alloc.block[user] < 0:
             return 0.0
-        rb = int(cols[0])
+        rb = int(alloc.block[user])
     denom = interference(alloc, topo, cell, rb) + config.bandwidth * config.noise_psd
     return _snr_gap(config) * denom / topo.gains[cell, user]
 
@@ -229,11 +226,9 @@ def power_system(topo, alloc, config):
     """Pair-by-pair build of the power equality system A p = b over the
     scheduled users in ascending id order; returns (A, b, sched)."""
     blocks = {}
-    for s, users in enumerate(topo.cell_users):
-        for row, u in enumerate(users):
-            cols = np.flatnonzero(alloc.rb[s][row])
-            if cols.size:
-                blocks[int(u)] = int(cols[0])
+    for u in range(topo.num_users):
+        if alloc.block[u] >= 0:
+            blocks[u] = int(alloc.block[u])
     sched = np.array(sorted(blocks), dtype=np.int64)
     m = sched.size
     gap = _snr_gap(config)
@@ -278,26 +273,21 @@ def solve_powers_lp(topo, alloc, config):
 def validate_allocation(alloc, topo, config):
     """Structural checks of an allocation; returns violation descriptions."""
     problems = []
+    if ((alloc.block < -1) | (alloc.block >= config.num_rbs)).any():
+        problems.append("block id outside [-1, num_rbs)")
     for s, users in enumerate(topo.cell_users):
-        mat = alloc.rb[s]
-        if mat.shape != (users.size, config.num_rbs):
-            problems.append(f"cell {s}: rb matrix shape {mat.shape}")
-            continue
-        if not np.isin(mat, (0, 1)).all():
-            problems.append(f"cell {s}: rb entries not 0/1")
-        if (mat.sum(axis=1) > 1).any():
-            problems.append(f"cell {s}: user on more than one block")
-        if (mat.sum(axis=0) > 1).any():
+        held = [int(n) for n in alloc.block[users] if n >= 0]
+        if len(set(held)) < len(held):
             problems.append(f"cell {s}: block shared inside the cell")
     mask = alloc.scheduled(topo)
     tol = config.p_max * 1e-12
     if (alloc.powers < 0).any() or (alloc.powers > config.p_max + tol).any():
         problems.append("powers outside [0, p_max]")
-    if (alloc.powers[mask == 0] != 0).any():
+    if (alloc.powers[~mask] != 0).any():
         problems.append("unscheduled user with nonzero power")
     ks = topo.samples * alloc.sigmas
     low = config.n_min * (1.0 - 1e-12)
-    if (ks[mask == 1] < low).any():
+    if (ks[mask] < low).any():
         problems.append("scheduled user below the sigma floor")
     return problems
 

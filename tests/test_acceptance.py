@@ -161,9 +161,8 @@ def random_noise_instance(rng, idx: int):
         n_min=float(rng.uniform(0.5, 40.0)),
         v_max=float(10.0 ** rng.uniform(-2.0, 1.3)))
     topo = generate_topology(cfg, 10_000 + idx)
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    for row in range(users):
-        alloc.rb[0][row, row] = 1
+    alloc = empty_allocation(topo)
+    alloc.block[:] = np.arange(users)
     alloc.sigmas = np.ones(topo.num_users)
     return cfg, topo, alloc
 
@@ -230,9 +229,8 @@ def test_noiseless_single_cell_equals_batch_descent():
                        synthetic_features=8, synthetic_classes=3)
     topo = generate_topology(cfg, 0)
     ds = load_dataset(cfg)
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    for row in range(6):
-        alloc.rb[0][row, row] = 1
+    alloc = empty_allocation(topo)
+    alloc.block[:] = np.arange(6)
     alloc.sigmas = np.zeros(6)
 
     model = Mlp(ds.input_dim, ds.num_classes)

@@ -14,9 +14,8 @@ from fedcell.topology import generate_topology
 def manual_setup(scheduled, sigma, **over):
     cfg = full_scale_config(num_cells=1, total_users=4, total_samples=1000, **over)
     topo = generate_topology(cfg, 0)
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    for nb, u in enumerate(scheduled):
-        alloc.rb[0][topo.local_index[u], nb] = 1
+    alloc = empty_allocation(topo)
+    alloc.block[scheduled] = np.arange(len(scheduled))
     alloc.sigmas = np.asarray(sigma, dtype=float)
     return cfg, topo, alloc
 
@@ -54,10 +53,10 @@ def test_divergence_flag_when_too_much_excluded():
     cfg, topo, alloc = manual_setup([0], [0.1, 0, 0, 0])
     small = int(np.argmin(topo.samples))
     if small != 0:
-        alloc = empty_allocation(topo, cfg.num_rbs)
+        alloc = empty_allocation(topo)
         sig = np.zeros(4)
         sig[small] = 0.1
-        alloc.rb[0][topo.local_index[small], 0] = 1
+        alloc.block[small] = 0
         alloc.sigmas = sig
     got = evaluate_bound(topo, alloc, cfg, 100)
     K = topo.samples.astype(float)
@@ -99,14 +98,14 @@ def test_pipeline_allocations_converge():
 
 def excluded_share(topo, alloc):
     K = topo.samples.astype(float)
-    return float(K[~alloc.scheduled(topo).astype(bool)].sum() / K.sum())
+    return float(K[~alloc.scheduled(topo)].sum() / K.sum())
 
 
 def test_c1_contracts_below_the_crossover():
     # leave out the smallest holder only: q = 4 xi2 s^2 stays below one
     cfg, topo, alloc = manual_setup([0, 1, 2, 3], [0.1] * 4, mu=2.0, clip=8.0)
     small = int(np.argmin(topo.samples))
-    alloc.rb[0][topo.local_index[small], :] = 0
+    alloc.block[small] = -1
     q = 4.0 * cfg.xi2 * excluded_share(topo, alloc) ** 2
     assert 0.0 < q < 1.0
     got = evaluate_bound(topo, alloc, cfg, 10)
@@ -118,7 +117,7 @@ def test_c1_contracts_below_the_crossover():
 def test_c1_is_q_above_the_crossover():
     cfg, topo, alloc = manual_setup([0, 1, 2, 3], [0.1] * 4, xi2=50.0)
     small = int(np.argmin(topo.samples))
-    alloc.rb[0][topo.local_index[small], :] = 0
+    alloc.block[small] = -1
     q = 4.0 * 50.0 * excluded_share(topo, alloc) ** 2
     assert q > 1.0
     got = evaluate_bound(topo, alloc, cfg, 10)
@@ -129,7 +128,7 @@ def test_c1_is_q_above_the_crossover():
 def test_c1_continuous_at_the_crossover():
     cfg, topo, alloc = manual_setup([0, 1, 2, 3], [0.1] * 4, mu=2.0, clip=8.0)
     small = int(np.argmin(topo.samples))
-    alloc.rb[0][topo.local_index[small], :] = 0
+    alloc.block[small] = -1
     tie = 1.0 / (4.0 * excluded_share(topo, alloc) ** 2)   # xi2 that puts q at one
     assert tie >= 1.0
     values = [evaluate_bound(topo, alloc, replace(cfg, xi2=tie * (1.0 + rel)), 10).c1

@@ -44,7 +44,7 @@ def test_total_matches_per_user_sum():
     alloc = opt_sched(topo, cfg, 2)
     report = leakage_report(topo, alloc, cfg)
     assert report.total == pytest.approx(report.rho.sum(), rel=1e-12)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     assert np.all(report.rho[~mask] == 0.0)
     assert np.all(report.rho[mask] > 0.0)
     for u in np.flatnonzero(mask):
@@ -53,12 +53,12 @@ def test_total_matches_per_user_sum():
 
 
 def manual_allocation(topo, cfg, scheduled_users, sigma=1.0):
-    alloc = empty_allocation(topo, cfg.num_rbs)
+    alloc = empty_allocation(topo)
     used = {}
     for u in scheduled_users:
         s = int(topo.assignment[u])
         nb = used.get(s, 0)
-        alloc.rb[s][topo.local_index[u], nb] = 1
+        alloc.block[u] = nb
         used[s] = nb + 1
     alloc.sigmas = np.full(topo.num_users, sigma)
     return alloc
@@ -68,7 +68,7 @@ def test_optimize_noise_budget_equality_and_floors():
     cfg, topo = small_system(seed=3)
     alloc = opt_sched(topo, cfg, 3)
     sig = optimize_noise(topo, alloc, cfg)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
     lhs = float(K[mask] @ sig[mask] ** 2)
     rhs = cfg.v_max * K[mask].sum()
@@ -82,7 +82,7 @@ def test_optimize_noise_stationarity_structure():
     cfg, topo = small_system(seed=4)
     alloc = opt_sched(topo, cfg, 4)
     sig = optimize_noise(topo, alloc, cfg)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
     floors = cfg.n_min / K
     free = mask & (sig > floors * (1 + 1e-9))
@@ -127,7 +127,7 @@ def test_optimize_noise_infeasible_floor():
 
 def test_optimize_noise_needs_a_schedule():
     cfg, topo = small_system(seed=5)
-    alloc = empty_allocation(topo, cfg.num_rbs)
+    alloc = empty_allocation(topo)
     with pytest.raises(ValueError, match="scheduled"):
         optimize_noise(topo, alloc, cfg)
 

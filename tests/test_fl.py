@@ -100,10 +100,9 @@ def test_local_update_formula():
 
 
 def everyone_scheduled(cfg, topo, sigma=0.0):
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    for s, users in enumerate(topo.cell_users):
-        for row in range(users.size):
-            alloc.rb[s][row, row] = 1
+    alloc = empty_allocation(topo)
+    for users in topo.cell_users:
+        alloc.block[users] = np.arange(users.size)
     alloc.sigmas = np.full(topo.num_users, sigma)
     return alloc
 
@@ -140,13 +139,12 @@ def three_cell_setup(sigmas=None, **over):
                                num_rbs=4, dataset_train_size=600, **over)
     topo = generate_topology(cfg, 6)
     ds = load_dataset(cfg)
-    alloc = empty_allocation(topo, cfg.num_rbs)
+    alloc = empty_allocation(topo)
     cells = []
     for s, users in enumerate(topo.cell_users):
-        rows = range(min(users.size, cfg.num_rbs)) if s < 3 else range(0)
-        for row in rows:
-            alloc.rb[s][row, row] = 1
-        cells.append([int(users[row]) for row in rows])
+        on = users[:cfg.num_rbs] if s < 3 else users[:0]
+        alloc.block[on] = np.arange(on.size)
+        cells.append([int(u) for u in on])
     assert all(cells[:3]), "each of the three cells needs a scheduled user"
     alloc.sigmas = np.zeros(topo.num_users) if sigmas is None else sigmas(topo)
     return cfg, topo, ds, alloc, cells
@@ -180,7 +178,7 @@ def test_round_noise_has_the_summed_users_variance():
     a = train(topo, noisy, ds, cfg, seed=6).weights
     b = train(topo, clean, ds, cfg, seed=6).weights
 
-    on = noisy.scheduled(topo).astype(bool)
+    on = noisy.scheduled(topo)
     K = topo.samples[on].astype(float)
     sig = noisy.sigmas[on]
     assert len(set(sig)) == sig.size and (sig == 0.0).any()
@@ -233,7 +231,7 @@ def test_unscheduled_users_never_touch_their_data():
     ds = load_dataset(cfg)
     alloc = everyone_scheduled(cfg, topo)
     # bench user 0, then poison its shard rows: training must not read them
-    alloc.rb[0][topo.local_index[0], :] = 0
+    alloc.block[0] = -1
     clean = train(topo, alloc, ds, cfg, seed=3)
 
     rng = np.random.default_rng(seeding.subseed(3, seeding.SHARDS))
@@ -250,7 +248,7 @@ def test_train_requires_scheduled_samples():
     cfg = tiny_training_config()
     topo = generate_topology(cfg, 4)
     ds = load_dataset(cfg)
-    alloc = empty_allocation(topo, cfg.num_rbs)
+    alloc = empty_allocation(topo)
     with pytest.raises(ValueError, match="scheduled"):
         train(topo, alloc, ds, cfg, seed=4)
 

@@ -12,7 +12,7 @@ import oracles
 from fedcell.config import full_scale_config, load_config
 from fedcell.radio import (empty_allocation, enforce_rate, interference,
                            power_system, snr_gap, solve_powers, uplink_rate)
-from fedcell.scheduler import opt_sched
+from fedcell.scheduler import _init_state, opt_sched
 from fedcell.topology import generate_topology
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -32,11 +32,11 @@ def two_cell_topology(seed=0, users=8):
 
 
 def schedule_everyone_round_robin(topo, cfg):
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    for s, users in enumerate(topo.cell_users):
-        for row in range(min(users.size, cfg.num_rbs)):
-            alloc.rb[s][row, row] = 1
-    mask = alloc.scheduled(topo).astype(bool)
+    alloc = empty_allocation(topo)
+    for users in topo.cell_users:
+        take = min(users.size, cfg.num_rbs)
+        alloc.block[users[:take]] = np.arange(take)
+    mask = alloc.scheduled(topo)
     alloc.powers = np.where(mask, cfg.p_max / 2, 0.0)
     alloc.sigmas = np.full(topo.num_users, 1.0)
     return alloc
@@ -45,24 +45,25 @@ def schedule_everyone_round_robin(topo, cfg):
 def test_interference_sums_other_cells_only():
     cfg, topo = two_cell_topology(seed=1, users=14)
     alloc = schedule_everyone_round_robin(topo, cfg)
-    rb_idx = alloc.rb_index(topo)
     mat = interference(alloc, topo, cfg.num_rbs)
     assert mat.shape == (topo.num_cells, cfg.num_rbs)
     for s in range(topo.num_cells):
         for n in range(cfg.num_rbs):
             expect = 0.0
-            for u in range(topo.num_users):
-                if rb_idx[u] == n and topo.assignment[u] != s:
+            # users by serving cell, the order in which the matrix adds them
+            for u in np.argsort(topo.assignment, kind="stable"):
+                if alloc.block[u] == n and topo.assignment[u] != s:
                     expect += topo.gains[s, u] * alloc.powers[u]
-            assert mat[s, n] == pytest.approx(expect, rel=1e-12, abs=1e-300)
+            assert mat[s, n] == expect
 
 
 def assert_matches_oracle(alloc, topo, num_rbs):
+    """Bit for bit: every entry adds the same terms in the same order as
+    the user-by-user sum."""
     mat = interference(alloc, topo, num_rbs)
     for s in range(topo.num_cells):
         for n in range(num_rbs):
-            assert mat[s, n] == pytest.approx(oracles.interference(alloc, topo, s, n),
-                                              rel=1e-13, abs=1e-300)
+            assert mat[s, n] == oracles.interference(alloc, topo, s, n)
 
 
 def test_interference_matrix_matches_scalar_op():
@@ -79,6 +80,15 @@ def test_interference_matrix_exact_under_a_loud_own_cell():
     alloc = schedule_everyone_round_robin(topo, cfg)
     alloc.powers = alloc.powers * 10.0 ** (3 * (topo.assignment % 3))
     assert_matches_oracle(alloc, topo, cfg.num_rbs)
+
+
+@pytest.mark.parametrize("name", ["full_scale_r5", "full_scale_r8"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_interference_matrix_matches_oracle_on_scheduler_allocations(name, seed):
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    topo = generate_topology(cfg, seed)
+    assert_matches_oracle(_init_state(topo, cfg, seed)[0], topo, cfg.num_rbs)
+    assert_matches_oracle(opt_sched(topo, cfg, seed), topo, cfg.num_rbs)
 
 
 def test_interference_linear_in_power():
@@ -105,8 +115,8 @@ def single_user_setup(h=1e-10):
     gains = np.full_like(topo.gains, h)
     gains.setflags(write=False)
     topo = replace(topo, gains=gains)
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    alloc.rb[0][0, 0] = 1
+    alloc = empty_allocation(topo)
+    alloc.block[0] = 0
     alloc.sigmas = np.ones(1)
     return cfg, topo, alloc
 
@@ -123,7 +133,7 @@ def test_required_power_reference_value():
 
 def test_required_power_zero_when_unscheduled():
     cfg, topo, alloc = single_user_setup()
-    alloc.rb[0][0, 0] = 0
+    alloc.block[0] = -1
     assert oracles.required_power(topo, alloc, cfg, 0) == 0.0
     assert uplink_rate(alloc, topo, cfg)[0] == 0.0
 
@@ -133,16 +143,15 @@ def test_rate_decreases_with_interference():
     alloc = schedule_everyone_round_robin(topo, cfg)
     louder = alloc.copy()
     louder.powers = np.minimum(alloc.powers * 2.0, cfg.p_max)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     # doubling everyone's power doubles each user's signal but also all of
     # its interferers; with interference present the rate moves
     assert np.all(uplink_rate(louder, topo, cfg)[mask] > 0.0)
     # direct check: raising only an interferer's power lowers the victim rate
-    rb_idx = alloc.rb_index(topo)
     victim = None
     for u in np.flatnonzero(mask):
         others = [v for v in np.flatnonzero(mask)
-                  if rb_idx[v] == rb_idx[u] and topo.assignment[v] != topo.assignment[u]]
+                  if alloc.block[v] == alloc.block[u] and topo.assignment[v] != topo.assignment[u]]
         if others:
             victim, bully = int(u), int(others[0])
             break
@@ -158,7 +167,6 @@ def test_power_system_structure():
     alloc = schedule_everyone_round_robin(topo, cfg)
     A, b, sched = power_system(topo, alloc, cfg)
     gap = snr_gap(cfg)
-    rb_idx = alloc.rb_index(topo)
     assert np.array_equal(sched, np.sort(sched))
     for j, u in enumerate(sched):
         s = int(topo.assignment[u])
@@ -168,7 +176,7 @@ def test_power_system_structure():
         for k, v in enumerate(sched):
             if j == k:
                 continue
-            if rb_idx[u] == rb_idx[v] and topo.assignment[v] != s:
+            if alloc.block[u] == alloc.block[v] and topo.assignment[v] != s:
                 expect = -gap * topo.gains[s, v] / topo.gains[s, u]
                 assert A[j, k] == pytest.approx(expect, rel=1e-12)
             else:
@@ -180,12 +188,11 @@ def test_power_system_equals_oracle_loop(seed):
     cfg = full_scale_config(total_users=40, total_samples=24000)
     topo = generate_topology(cfg, seed)
     rng = np.random.default_rng(seed)
-    alloc = empty_allocation(topo, cfg.num_rbs)
+    alloc = empty_allocation(topo)
     # distinct blocks inside a cell, shifted by one in every other cell
     for s, users in enumerate(topo.cell_users):
-        perm = rng.permutation(users.size)
-        for j in range(min(users.size, cfg.num_rbs - 1)):
-            alloc.rb[s][perm[j], j + s % 2] = 1
+        take = min(users.size, cfg.num_rbs - 1)
+        alloc.block[users[rng.permutation(users.size)[:take]]] = np.arange(take) + s % 2
     got = power_system(topo, alloc, cfg)
     expect = oracles.power_system(topo, alloc, cfg)
     for a, b in zip(got, expect):
@@ -195,7 +202,7 @@ def test_power_system_equals_oracle_loop(seed):
 
 def test_power_system_empty_schedule_equals_oracle_loop():
     cfg, topo = two_cell_topology(seed=7, users=10)
-    alloc = empty_allocation(topo, cfg.num_rbs)
+    alloc = empty_allocation(topo)
     got = power_system(topo, alloc, cfg)
     expect = oracles.power_system(topo, alloc, cfg)
     assert got[0].shape == (0, 0)
@@ -209,15 +216,13 @@ def test_power_system_empty_schedule_equals_oracle_loop():
 def test_uplink_rate_matches_oracle_property(seed, users):
     cfg, topo = two_cell_topology(seed=seed, users=users)
     rng = np.random.default_rng(seed)
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    for s, members in enumerate(topo.cell_users):
-        perm = rng.permutation(members.size)
-        for j in range(min(members.size, cfg.num_rbs)):
-            alloc.rb[s][perm[j], j] = 1
-    mask = alloc.scheduled(topo).astype(bool)
+    alloc = empty_allocation(topo)
+    for members in topo.cell_users:
+        take = min(members.size, cfg.num_rbs)
+        alloc.block[members[rng.permutation(members.size)[:take]]] = np.arange(take)
+    mask = alloc.scheduled(topo)
     alloc.powers = np.where(mask, rng.uniform(0.0, cfg.p_max, topo.num_users), 0.0)
-    rb_idx = alloc.rb_index(topo)
-    shared = [(rb_idx == n) & mask for n in range(cfg.num_rbs)]
+    shared = [(alloc.block == n) & mask for n in range(cfg.num_rbs)]
     assert any(np.unique(topo.assignment[on]).size > 1 for on in shared), \
         "the draw needs co-channel users in different cells"
     got = uplink_rate(alloc, topo, cfg)
@@ -258,7 +263,7 @@ def test_solve_powers_sends_every_block_to_the_lp_when_a_solve_fails(monkeypatch
 
 def test_solve_powers_empty_schedule():
     cfg, topo = two_cell_topology(seed=7, users=10)
-    alloc = empty_allocation(topo, cfg.num_rbs)
+    alloc = empty_allocation(topo)
     alloc.sigmas = np.ones(topo.num_users)
     assert np.array_equal(solve_powers(topo, alloc, cfg), np.zeros(topo.num_users))
 
@@ -279,7 +284,7 @@ def test_solve_powers_respects_cap():
     assert p.max() <= cfg.p_max * (1 + 1e-12)
     assert p[weak] == pytest.approx(cfg.p_max, rel=1e-9)
     A, b, sched = power_system(topo, alloc, cfg)
-    blocks = alloc.rb_index(topo)[sched]
+    blocks = alloc.block[sched]
     others = [n for n in np.unique(blocks) if n != blocks[sched == weak][0]]
     assert others, "the draw needs a second block"
     for n in others:
@@ -295,11 +300,11 @@ def random_schedule(seed, users, num_rbs):
     cfg = full_scale_config(total_users=users, total_samples=users * 50, num_rbs=num_rbs)
     topo = generate_topology(cfg, seed)
     rng = np.random.default_rng(seed)
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    for s, members in enumerate(topo.cell_users):
+    alloc = empty_allocation(topo)
+    for members in topo.cell_users:
         k = rng.integers(0, min(members.size, cfg.num_rbs) + 1)
-        alloc.rb[s][rng.choice(members.size, k, replace=False),
-                    rng.choice(cfg.num_rbs, k, replace=False)] = 1
+        rows = rng.choice(members.size, k, replace=False)
+        alloc.block[members[rows]] = rng.choice(cfg.num_rbs, k, replace=False)
     return cfg, topo, alloc
 
 
@@ -311,7 +316,7 @@ def test_solve_powers_matches_direct_blocks_and_lp_oracle_property(seed, users, 
     assert np.all((p >= 0.0) & (p <= cfg.p_max))
     A, b, sched = power_system(topo, alloc, cfg)
     assert np.all(p[np.setdiff1d(np.arange(topo.num_users), sched)] == 0.0)
-    blocks = alloc.rb_index(topo)[sched]
+    blocks = alloc.block[sched]
     for n in np.unique(blocks):
         rows = np.flatnonzero(blocks == n)
         direct = np.linalg.solve(A[np.ix_(rows, rows)], b[rows])
@@ -333,7 +338,7 @@ def test_solve_powers_keeps_a_user_who_needs_nanowatts(name):
     cfg = load_config(CONFIGS / f"{name}.yaml")
     topo = generate_topology(cfg, 4)
     alloc = opt_sched(topo, cfg, 4)
-    assert alloc.scheduled(topo)[12] == 1
+    assert alloc.scheduled(topo)[12]
     assert alloc.powers[12] == pytest.approx(4.4e-9, rel=0.05)
     assert uplink_rate(alloc, topo, cfg)[12] >= cfg.r_min * (1.0 - 1e-6)
 
@@ -345,7 +350,7 @@ def test_enforce_rate_keeps_satisfied_users():
     alloc.powers = solve_powers(topo, alloc, cfg)
     cleaned = enforce_rate(topo, alloc, cfg)
     # single cell, solved powers: everyone either met the rate or sits at cap
-    kept = cleaned.scheduled(topo).astype(bool)
+    kept = cleaned.scheduled(topo)
     assert np.all(uplink_rate(cleaned, topo, cfg)[kept] >= cfg.r_min * (1 - 1e-6))
     # idempotent
     again = enforce_rate(topo, cleaned, cfg)
@@ -366,17 +371,17 @@ def test_enforce_rate_terminates_on_cascades():
     cfg, topo = two_cell_topology(seed=9, users=20)
     alloc = schedule_everyone_round_robin(topo, cfg)
     # deliberately underpowered: everyone at a sliver of the cap
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     alloc.powers = np.where(mask, cfg.p_max * 1e-6, 0.0)
     cleaned = enforce_rate(topo, alloc, cfg)
-    kept = cleaned.scheduled(topo).astype(bool)
+    kept = cleaned.scheduled(topo)
     assert np.all(uplink_rate(cleaned, topo, cfg)[kept] >= cfg.r_min * (1 - 1e-6))
 
 
 def test_validate_allocation_flags_problems():
     cfg, topo = two_cell_topology(seed=10, users=10)
     alloc = schedule_everyone_round_robin(topo, cfg)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     alloc.sigmas = np.where(mask, 10 * cfg.n_min / topo.samples, 0.0)
     assert oracles.validate_allocation(alloc, topo, cfg) == []
 
@@ -386,14 +391,13 @@ def test_validate_allocation_flags_problems():
     assert "p_max" in msgs or "power" in msgs
 
     bad2 = alloc.copy()
-    s = next(s for s, users in enumerate(topo.cell_users) if users.size >= 2)
-    bad2.rb[s][0, 0] = 1
-    bad2.rb[s][1, 0] = 1
+    users = next(users for users in topo.cell_users if users.size >= 2)
+    bad2.block[users[:2]] = 0
     assert any("shared" in m for m in oracles.validate_allocation(bad2, topo, cfg))
 
     bad3 = alloc.copy()
-    bad3.rb[s][0, :2] = 1
-    assert any("more than one block" in m for m in oracles.validate_allocation(bad3, topo, cfg))
+    bad3.block[users[0]] = cfg.num_rbs
+    assert any("outside" in m for m in oracles.validate_allocation(bad3, topo, cfg))
 
     bad4 = alloc.copy()
     bad4.sigmas = np.zeros(topo.num_users)

@@ -34,7 +34,7 @@ def make_problem(samples, sigmas, feasible, *, gamma=1.0, v_max=12.0,
 
 
 def solution_set(sol):
-    return tuple(sorted(np.flatnonzero(sol.rb.sum(axis=1))))
+    return tuple(np.flatnonzero(sol.block >= 0))
 
 
 def test_prefers_sample_rich_users():
@@ -71,7 +71,7 @@ def test_matching_limits_to_distinct_blocks():
     sol = solve_cell_schedule(prob)
     # users 0 and 1 compete for block 0; only one fits plus user 2 on block 1
     assert solution_set(sol) == (0, 2)
-    rb_of = {i: int(np.flatnonzero(sol.rb[i])[0]) for i in solution_set(sol)}
+    rb_of = {i: int(sol.block[i]) for i in solution_set(sol)}
     assert rb_of == {0: 0, 2: 1}
 
 
@@ -182,7 +182,7 @@ def test_build_cell_problem_foreign_sums():
     cfg = full_scale_config(total_users=25, total_samples=15000)
     topo = generate_topology(cfg, 4)
     alloc = init_allocation(topo, cfg, 4)
-    mask = alloc.scheduled(topo).astype(bool)
+    mask = alloc.scheduled(topo)
     for cell in range(topo.num_cells):
         prob = build_cell_problem(topo, alloc, cell, cfg)
         ks = ns = 0.0
@@ -199,12 +199,11 @@ def test_init_allocation_structure():
     topo = generate_topology(cfg, 9)
     alloc = init_allocation(topo, cfg, 9)
     assert oracles.validate_allocation(alloc, topo, cfg) == []
-    mask = alloc.scheduled(topo).astype(bool)
-    for s, users in enumerate(topo.cell_users):
+    mask = alloc.scheduled(topo)
+    for users in topo.cell_users:
         expect = min(users.size, cfg.num_rbs)
-        assert alloc.rb[s].sum() == expect
         # blocks used are exactly 0..expect-1, each once
-        used = np.flatnonzero(alloc.rb[s].sum(axis=0))
+        used = np.sort(alloc.block[users][mask[users]])
         assert list(used) == list(range(expect))
     assert np.all(alloc.powers[mask] >= 0.0)
     assert np.all(alloc.powers[mask] <= cfg.p_max)
@@ -222,7 +221,7 @@ def test_init_allocation_deterministic():
     topo = generate_topology(cfg, 5)
     a = init_allocation(topo, cfg, 5)
     b = init_allocation(topo, cfg, 5)
-    assert all(np.array_equal(x, y) for x, y in zip(a.rb, b.rb))
+    assert np.array_equal(a.block, b.block)
     assert np.array_equal(a.powers, b.powers)
     assert np.array_equal(a.sigmas, b.sigmas)
     c = init_allocation(topo, cfg, 6)
@@ -252,8 +251,8 @@ def test_objective_value_hand_computed():
                        gamma=2.0, num_rbs=2)
     topo = generate_topology(cfg, 0)
     from fedcell.radio import empty_allocation
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    alloc.rb[0][0, 0] = 1
+    alloc = empty_allocation(topo)
+    alloc.block[0] = 0
     alloc.sigmas = np.array([0.5, 1.0, 1.0])
     K = topo.samples.astype(float)
     expect = K[1] + K[2] + 2.0 / (K[0] * 0.5) ** 2
@@ -265,7 +264,7 @@ def test_objective_rejects_zero_sigma_on_schedule():
     cfg = full_scale_config(num_cells=1, total_users=2, total_samples=100)
     topo = generate_topology(cfg, 0)
     from fedcell.radio import empty_allocation
-    alloc = empty_allocation(topo, cfg.num_rbs)
-    alloc.rb[0][0, 0] = 1
+    alloc = empty_allocation(topo)
+    alloc.block[0] = 0
     with pytest.raises(ValueError):
         objective_value(topo, alloc, cfg)

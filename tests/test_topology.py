@@ -92,7 +92,6 @@ def test_cell_users_partition_users():
     for s, users in enumerate(topo.cell_users):
         assert list(users) == sorted(users)
         assert np.all(topo.assignment[users] == s)
-        assert np.all(topo.local_index[users] == np.arange(users.size))
 
 
 def test_distance_floor_applies():
