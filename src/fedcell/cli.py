@@ -17,8 +17,7 @@ import numpy as np
 from .bounds import c3_constraint_check, evaluate_bound
 from .config import load_config
 from .dp import leakage_report
-from .harness import (ALGORITHMS, SCENARIOS, ExperimentSpec, allocate,
-                      emit_csv, run_experiment)
+from .harness import ALGORITHMS, ExperimentSpec, allocate, emit_csv, run_experiment
 from .mlp import Mlp
 from .radio import power_system, uplink_rate
 from .scheduler import normalized_objective, objective_sum, objective_value
@@ -58,7 +57,6 @@ def cmd_run(args) -> int:
         seed_base=args.seed,
         train=args.train,
         jobs=args.jobs,
-        scenario=args.scenario,
     )
     table = run_experiment(spec)
     paths = emit_csv(table, spec, args.out)
@@ -157,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--scenario", choices=sorted(SCENARIOS), default=None)
     run.set_defaults(func=cmd_run)
 
     sched = sub.add_parser("schedule", help="one allocation as csv")

@@ -52,11 +52,6 @@ ALGORITHMS = tuple(_BUILDERS)
 DOMAIN_ERRORS = (ScheduleInfeasibleError, InfeasibleNoiseError,
                  PowerSolveError, TrainDivergedError)
 
-SCENARIOS = {
-    "r5": {"num_rbs": 5, "gamma": 1e6},
-    "r8": {"num_rbs": 8, "gamma": 1e7},
-}
-
 CSV_NAMES = ("objective_cdf.csv", "accuracy.csv", "loss.csv",
              "leakage_cdf.csv", "bounds.csv")
 
@@ -69,15 +64,6 @@ class ExperimentSpec:
     seed_base: int | None = None   # defaults to config.seed
     train: bool = False
     jobs: int = 1
-    scenario: str | None = None    # shorthand presets over the config
-
-    def resolved_config(self) -> SystemConfig:
-        cfg = self.config
-        if self.scenario is not None:
-            if self.scenario not in SCENARIOS:
-                raise ValueError(f"unknown scenario {self.scenario!r}")
-            cfg = cfg.replace(**SCENARIOS[self.scenario])
-        return cfg
 
     def base_seed(self) -> int:
         return self.config.seed if self.seed_base is None else self.seed_base
@@ -210,9 +196,8 @@ def _replica_task(args):
 def run_experiment(spec: ExperimentSpec) -> MetricsTable:
     for alg in spec.algorithms:
         _builder(alg)
-    config = spec.resolved_config()
     base = spec.base_seed()
-    tasks = [(config, tuple(spec.algorithms), r, base + r, spec.train)
+    tasks = [(spec.config, tuple(spec.algorithms), r, base + r, spec.train)
              for r in range(spec.replicas)]
     table = MetricsTable()
     if spec.jobs > 1:

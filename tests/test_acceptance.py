@@ -90,9 +90,9 @@ def test_cell_solver_matches_exhaustive_enumeration():
 def test_schedule_objective_dominance_across_replicas():
     t0 = time.perf_counter()
     fractions = {}
-    for scenario in ("r5", "r8"):
-        spec = ExperimentSpec(config=full_scale_config(), scenario=scenario,
-                              replicas=100)
+    for scenario, cfg in (("r5", full_scale_config(num_rbs=5, gamma=1e6)),
+                          ("r8", full_scale_config(num_rbs=8, gamma=1e7))):
+        spec = ExperimentSpec(config=cfg, replicas=100)
         table = run_experiment(spec)
         opt, rnd = table.paired("objective", "opt", "rnd")
         dp, opt2 = table.paired("objective", "opt+dp", "opt")

@@ -61,14 +61,6 @@ def test_run_rejects_unknown_algorithm(config_path, tmp_path, capsys):
     assert "best" in err
 
 
-def test_run_scenario_flag(config_path, tmp_path):
-    out = tmp_path / "s"
-    rc = main(["run", "--config", config_path, "--replicas", "1",
-               "--algorithms", "rnd", "--scenario", "r8", "--out", str(out)])
-    assert rc == 0
-    assert (out / "bounds.csv").exists()
-
-
 def test_schedule_emits_allocation_and_cell_objectives(config_path, tmp_path,
                                                        capsys):
     out = tmp_path / "sched"

@@ -127,16 +127,6 @@ def test_run_experiment_seed_base_offsets_replica_seeds():
     assert [r.seed for r in table.rows] == [40, 41]
 
 
-def test_scenario_presets_override_the_config():
-    spec = ExperimentSpec(config=small_config(), scenario="r8")
-    cfg = spec.resolved_config()
-    assert cfg.num_rbs == 8
-    assert cfg.gamma == 1e7
-    assert cfg.total_users == 12
-    with pytest.raises(ValueError):
-        ExperimentSpec(config=small_config(), scenario="r9").resolved_config()
-
-
 def test_paired_skips_replicas_missing_on_either_side():
     def rec(alg, rep, obj):
         return ReplicaRecord(algorithm=alg, replica=rep, seed=rep,
