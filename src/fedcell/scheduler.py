@@ -262,7 +262,11 @@ def opt_sched(topo: Topology, config: SystemConfig, seed: int) -> Allocation:
     jointly and drop users whose minimum rate cannot be met.
 
     During the sweep, powers stay at their initial draws masked by the latest
-    schedule; the joint solve afterwards replaces them.
+    schedule; the joint solve afterwards replaces them.  The sweep's
+    feasibility test holds every other cell at those draws, so the final
+    powers can miss a user's minimum rate, and the users `enforce_rate`
+    drops can leave `opt` above `rnd`.  On r8 replica seed 13 000 223 it
+    drops 4 of 54 users, and `opt` ends at 34 919.8 against `rnd`'s 28 295.2.
     """
     alloc, p_draw = _init_state(topo, config, seed)
     for _ in range(config.sweeps):
