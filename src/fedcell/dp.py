@@ -25,23 +25,15 @@ class InfeasibleNoiseError(ValueError):
     floor alone exceeds the noise variance budget."""
 
 
-def leakage(rounds: int, clip: float, samples: float, sigma: float) -> float:
-    """Per-user privacy loss rho = 2 T (L / (K sigma))^2."""
-    if sigma <= 0.0:
+def leakage(rounds: int, clip: float, samples, sigma):
+    """Per-user privacy loss rho = 2 T (L / (K sigma))^2; `samples` and
+    `sigma` may be arrays over users."""
+    if np.any(np.asarray(sigma) <= 0.0):
         raise ValueError("sigma must be positive to account privacy")
-    if samples <= 0:
+    if np.any(np.asarray(samples) <= 0):
         raise ValueError("samples must be positive")
     # squared terms kept separate so integer-valued cases stay exact
     return 2.0 * rounds * clip ** 2 / (samples * sigma) ** 2
-
-
-def total_leakage(topo: Topology, alloc: Allocation, config: SystemConfig) -> float:
-    mask = alloc.scheduled(topo)
-    if (alloc.sigmas[mask] <= 0.0).any():
-        raise ValueError("scheduled users need a positive noise scale")
-    K = topo.samples[mask].astype(float)
-    inv = 1.0 / (K * alloc.sigmas[mask]) ** 2
-    return float(2.0 * config.rounds * config.clip ** 2 * inv.sum())
 
 
 @dataclass
@@ -55,10 +47,8 @@ class LeakageReport:
 def leakage_report(topo: Topology, alloc: Allocation, config: SystemConfig) -> LeakageReport:
     mask = alloc.scheduled(topo)
     rho = np.zeros(topo.num_users)
-    for u in np.flatnonzero(mask):
-        rho[u] = leakage(config.rounds, config.clip,
-                         float(topo.samples[u]), float(alloc.sigmas[u]))
-    return LeakageReport(rho=rho, total=total_leakage(topo, alloc, config),
+    rho[mask] = leakage(config.rounds, config.clip, topo.samples[mask], alloc.sigmas[mask])
+    return LeakageReport(rho=rho, total=float(rho.sum()),
                          rounds=config.rounds, clip=config.clip)
 
 

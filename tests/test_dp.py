@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcell.config import full_scale_config
-from fedcell.dp import (InfeasibleNoiseError, leakage, leakage_report,
-                        optimize_noise, total_leakage)
+from fedcell.dp import InfeasibleNoiseError, leakage, leakage_report, optimize_noise
 from fedcell.harness import allocate
 from fedcell.radio import empty_allocation
 from fedcell.scheduler import objective_value, opt_sched
@@ -137,7 +136,7 @@ def test_optimized_noise_cuts_leakage():
     base = opt_sched(topo, cfg, 6)
     tuned = base.copy()
     tuned.sigmas = optimize_noise(topo, base, cfg)
-    assert total_leakage(topo, tuned, cfg) < total_leakage(topo, base, cfg)
+    assert leakage_report(topo, tuned, cfg).total < leakage_report(topo, base, cfg).total
 
 
 def test_opt_sched_dp_keeps_schedule_and_improves_objective():
