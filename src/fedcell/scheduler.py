@@ -16,7 +16,9 @@ jointly and drop users whose minimum rate cannot be met.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,42 +88,49 @@ def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
     )
 
 
-def _matchable(users, rb_sets, banned) -> bool:
-    """True when every listed user can take a distinct block outside `banned`."""
-    match = {}
-
-    def augment(i, seen):
-        for nb in rb_sets[i]:
-            if nb in banned or nb in seen:
-                continue
-            seen.add(nb)
-            j = match.get(nb)
-            if j is None or augment(j, seen):
-                match[nb] = i
-                return True
-        return False
-
-    return all(augment(i, set()) for i in users)
+def _augment(i, rb_sets, match, seen) -> bool:
+    """Find user i a block outside `seen` along an augmenting path;
+    `match` maps block -> user and is changed only on success."""
+    for nb in rb_sets[i]:
+        if nb in seen:
+            continue
+        seen.add(nb)
+        j = match.get(nb)
+        if j is None or _augment(j, rb_sets, match, seen):
+            match[nb] = i
+            return True
+    return False
 
 
 def _lex_min_blocks(users, rb_sets) -> dict:
     """Assign blocks to `users` (sorted) preferring low block ids, keeping the
-    remainder matchable at every step."""
+    remainder matchable at every step.
+
+    One perfect matching is kept throughout.  User i can take a lower block
+    nb than its matched one iff nb is free, or nb's holder finds another
+    block along an augmenting path that avoids the blocks already fixed.
+    """
+    match = {}
+    for i in users:
+        _augment(i, rb_sets, match, set())
+    held = {i: nb for nb, i in match.items()}
     taken = set()
-    out = {}
-    users = list(users)
-    for idx, i in enumerate(users):
-        rest = users[idx + 1:]
+    for i in users:
         for nb in rb_sets[i]:
             if nb in taken:
                 continue
-            if _matchable(rest, rb_sets, taken | {nb}):
-                out[i] = nb
-                taken.add(nb)
-                break
-        else:
-            raise AssertionError("chosen set lost matchability")
-    return out
+            if nb != held[i]:
+                j = match.get(nb)
+                del match[held[i]]
+                match[nb] = i
+                if j is not None and not _augment(j, rb_sets, match, taken | {nb}):
+                    match[nb] = j
+                    match[held[i]] = i
+                    continue
+                held = {u: b for b, u in match.items()}
+            taken.add(nb)
+            break
+    return held
 
 
 def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
@@ -132,33 +141,34 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
     bound from the most negative remaining costs, reachability of the noise
     budget, and incremental bipartite matching against the power-feasible
     blocks.  Exact objective ties resolve to the lexicographically smallest
-    user set, then lowest block ids.
+    user set, then lowest block ids.  The search runs on Python floats and
+    ints taken from the arrays once.
     """
     K = problem.samples
     U, R = problem.feasible.shape
     w = 1.0 / (K * problem.sigmas) ** 2
-    cost = -K + problem.gamma * w
-    g = K * (problem.sigmas ** 2 - problem.v_max)
+    cost = (-K + problem.gamma * w).tolist()
+    g = (K * (problem.sigmas ** 2 - problem.v_max)).tolist()
     slack = problem.v_max * problem.foreign_samples - problem.foreign_noise
     tol = problem.budget_tol
 
-    rb_sets = [tuple(np.flatnonzero(problem.feasible[i])) for i in range(U)]
+    rb_sets = [[] for _ in range(U)]
+    for i, nb in zip(*(a.tolist() for a in np.nonzero(problem.feasible))):
+        rb_sets[i].append(nb)
     order = sorted((i for i in range(U) if rb_sets[i]), key=lambda i: (cost[i], i))
     n = len(order)
 
     # order is ascending in cost, so the negative costs of any suffix are its
     # leading entries; window sums over this prefix array bound completions.
-    neg_prefix = [0.0]
-    for i in order:
-        neg_prefix.append(neg_prefix[-1] + min(float(cost[i]), 0.0))
-    # per suffix: partial sums of its sorted negative budget weights
-    suffix_g = []
-    for pos in range(n + 1):
-        negs = sorted(float(g[i]) for i in order[pos:] if g[i] < 0.0)
-        sums = [0.0]
-        for v in negs:
-            sums.append(sums[-1] + v)
-        suffix_g.append(sums)
+    neg_prefix = list(accumulate((min(cost[i], 0.0) for i in order), initial=0.0))
+    # per suffix: partial sums of its sorted negative budget weights, as far
+    # as the R users a cell can still take
+    suffix_g = [None] * (n + 1)
+    negs = []
+    for pos in range(n, -1, -1):
+        if pos < n and g[order[pos]] < 0.0:
+            insort(negs, g[order[pos]])
+        suffix_g[pos] = list(accumulate(negs[:R], initial=0.0))
 
     best_obj = math.inf
     best_set = None
@@ -166,18 +176,6 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
         best_obj, best_set = 0.0, ()
 
     match = {}
-
-    def augment(i, seen):
-        for nb in rb_sets[i]:
-            if nb in seen:
-                continue
-            seen.add(nb)
-            j = match.get(nb)
-            if j is None or augment(j, seen):
-                match[nb] = i
-                return True
-        return False
-
     chosen = []
 
     def consider(total):
@@ -198,10 +196,10 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
             return
         i = order[pos]
         saved = dict(match)
-        if augment(i, set()):
+        if _augment(i, rb_sets, match, set()):
             chosen.append(i)
-            nc = sum_c + float(cost[i])
-            ng = sum_g + float(g[i])
+            nc = sum_c + cost[i]
+            ng = sum_g + g[i]
             if ng <= slack + tol:
                 consider(nc)
             dfs(pos + 1, nc, ng)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 import oracles
 from oracles import brute_force_cell
 
-from fedcell.config import full_scale_config
+from fedcell.config import full_scale_config, load_config
 from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError, _init_state,
                                build_cell_problem, normalized_objective,
                                objective_value, opt_sched, rnd_sched,
                                solve_cell_schedule)
 from fedcell.topology import generate_topology
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def init_allocation(topo, config, seed):
@@ -124,6 +127,31 @@ def test_matches_enumeration_spot_checks():
             continue
         sol = solve_cell_schedule(prob)
         assert sol.objective == pytest.approx(expect, rel=1e-12)
+        assert solution_set(sol) == expect_set
+
+
+def test_matches_enumeration_on_sweep_problems(monkeypatch):
+    """The cell problems of opt's sweep on full_scale_r5 seeds 0-2 with at
+    most 14 power-feasible users: same value and same user set as
+    exhaustive enumeration."""
+    import fedcell.scheduler
+    seen = []
+
+    def record(problem):
+        seen.append(problem)
+        return solve_cell_schedule(problem)
+
+    monkeypatch.setattr(fedcell.scheduler, "solve_cell_schedule", record)
+    cfg = load_config(ROOT / "configs" / "full_scale_r5.yaml")
+    for seed in (0, 1, 2):
+        opt_sched(generate_topology(cfg, seed), cfg, seed)
+    small = [p for p in seen if p.feasible.any(axis=1).sum() <= 14]
+    assert len(small) == 11
+    for prob in small:
+        expect, expect_set = brute_force_cell(prob)
+        sol = solve_cell_schedule(prob)
+        assert sol.objective == pytest.approx(expect, rel=1e-12)
+        assert solution_set(sol) == expect_set
 
 
 @settings(max_examples=30, deadline=None)
