@@ -60,9 +60,18 @@ def optimize_noise(topo: Topology, alloc: Allocation, config: SystemConfig) -> n
 
         sum K sigma^2 = v_max * sum K        (over scheduled users)
 
-    holds with equality.  The left side is continuous and non-increasing in
-    kappa, so kappa comes from a geometric bisection; unscheduled users get
-    sigma zero.
+    holds with equality.  This is water-filling (Boyd and Vandenberghe,
+    Convex Optimization, 2004, 5.5.3), solved exactly.  With the level
+    t = kappa^(-1/2), sigma_i = sqrt(t) K_i^(-3/4), and a user is clamped iff
+    t < t_i = n_min^2 K_i^(-1/2), i.e. iff K_i < n_min^4 kappa; the clamped
+    users are the c smallest holders, and
+
+        t = (v_max sum K - n_min^2 sum_clamped 1/K) / sum_free K^(-1/2).
+
+    The budget spent, sum max(t K^(-1/2), n_min^2 / K), grows with t, so c
+    is the number of users whose own threshold t_i already spends more than
+    the budget.  When the floor alone meets the budget, c counts every user
+    and each sits on its floor.  Unscheduled users get sigma zero.
     """
     mask = alloc.scheduled(topo)
     idx = np.flatnonzero(mask)
@@ -71,38 +80,18 @@ def optimize_noise(topo: Topology, alloc: Allocation, config: SystemConfig) -> n
     K = topo.samples[idx].astype(float)
     floor = config.n_min / K
     rhs = config.v_max * K.sum()
-    floor_lhs = float(K @ floor ** 2)
-    if floor_lhs > rhs * (1.0 + 1e-12):
+    if float(K @ floor ** 2) > rhs * (1.0 + 1e-12):
         raise InfeasibleNoiseError(
             "sigma floor exceeds the variance budget for the scheduled set")
 
-    def lhs(kappa: float) -> float:
-        sig = np.maximum((K ** 3 * kappa) ** -0.25, floor)
-        return float(K @ sig ** 2)
-
-    lo = hi = 1.0
-    for _ in range(200):
-        if lhs(hi) <= rhs:
-            break
-        hi *= 16.0
-    for _ in range(200):
-        if lhs(lo) >= rhs:
-            break
-        lo /= 16.0
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if lhs(mid) >= rhs:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo - 1.0 < 1e-12:
-            break
-    kappa = np.sqrt(lo * hi)
-    sig_sched = np.maximum((K ** 3 * kappa) ** -0.25, floor)
-    resid = abs(float(K @ sig_sched ** 2) - rhs) / rhs
-    if resid > 1e-8:
-        raise InfeasibleNoiseError(f"noise budget residual {resid:.3e} after bisection")
+    Ks = np.sort(K)
+    root = Ks ** -0.5
+    n2 = config.n_min ** 2
+    clamped = np.concatenate(([0.0], np.cumsum(n2 / Ks)))     # first c users
+    free = np.concatenate((np.cumsum(root[::-1])[::-1], [0.0]))  # the rest
+    spent_at_threshold = clamped[:-1] + n2 * root * free[:-1]
+    c = int(np.count_nonzero(spent_at_threshold > rhs))
+    t = (rhs - clamped[c]) / free[c] if c < K.size else 0.0
     sigmas = np.zeros(topo.num_users)
-    sigmas[idx] = sig_sched
+    sigmas[idx] = np.maximum(np.sqrt(t) * K ** -0.75, floor)
     return sigmas
-

@@ -109,6 +109,45 @@ def grid_noise_minimum(K, floors, budget, rounds=6, points=25):
     return best_obj, best_sig
 
 
+def bisection_noise(K, n_min, v_max):
+    """Optimal noise scales of the users with sample counts K by bisection
+    on the budget multiplier kappa.
+
+    sigma_i = max((K_i^3 kappa)^(-1/4), n_min / K_i), and sum K sigma^2 is
+    continuous and non-increasing in kappa, so a geometric bisection finds
+    the kappa that spends v_max * sum K exactly.  Raises ValueError when the
+    floor alone exceeds the budget.
+    """
+    K = np.asarray(K, dtype=float)
+    floor = n_min / K
+    rhs = v_max * K.sum()
+    if float(K @ floor ** 2) > rhs * (1.0 + 1e-12):
+        raise ValueError("sigma floor exceeds the variance budget")
+
+    def lhs(kappa):
+        sig = np.maximum((K ** 3 * kappa) ** -0.25, floor)
+        return float(K @ sig ** 2)
+
+    lo = hi = 1.0
+    for _ in range(200):
+        if lhs(hi) <= rhs:
+            break
+        hi *= 16.0
+    for _ in range(200):
+        if lhs(lo) >= rhs:
+            break
+        lo /= 16.0
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if lhs(mid) >= rhs:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo - 1.0 < 1e-12:
+            break
+    return np.maximum((K ** 3 * math.sqrt(lo * hi)) ** -0.25, floor)
+
+
 def central_difference(fun, w, coords, eps):
     """Central finite differences of a scalar function at chosen coordinates."""
     out = np.empty(len(coords))

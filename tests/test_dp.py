@@ -1,14 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcell.config import full_scale_config
+from oracles import bisection_noise
+
+from fedcell.config import full_scale_config, load_config
 from fedcell.dp import InfeasibleNoiseError, leakage, leakage_report, optimize_noise
 from fedcell.harness import allocate
 from fedcell.radio import empty_allocation
 from fedcell.scheduler import objective_value, opt_sched
 from fedcell.topology import generate_topology
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_leakage_reference_value():
@@ -71,7 +77,7 @@ def test_optimize_noise_budget_equality_and_floors():
     K = topo.samples.astype(float)
     lhs = float(K[mask] @ sig[mask] ** 2)
     rhs = cfg.v_max * K[mask].sum()
-    assert abs(lhs - rhs) / rhs <= 1e-8
+    assert abs(lhs - rhs) / rhs <= 1e-14
     assert np.all(sig[~mask] == 0.0)
     assert np.all(K[mask] * sig[mask] >= cfg.n_min * (1 - 1e-9))
 
@@ -122,6 +128,51 @@ def test_optimize_noise_infeasible_floor():
     # floors sigma >= 100/K with K ~ 100 make K sigma^2 ~ 100 >> v_max K
     with pytest.raises(InfeasibleNoiseError):
         optimize_noise(topo, alloc, cfg)
+
+
+def test_optimize_noise_floor_alone_meets_budget():
+    """When the floor spends the whole budget, every user sits on it."""
+    cfg = full_scale_config(num_cells=1, total_users=3, total_samples=900)
+    topo = generate_topology(cfg, 2)
+    alloc = manual_allocation(topo, cfg, [0, 1, 2])
+    K = topo.samples.astype(float)
+    floor = cfg.n_min / K
+    # the floor's spend sits 5e-13 above the budget, inside its tolerance
+    v_max = float(K @ floor ** 2) / K.sum() / (1.0 + 5e-13)
+    sig = optimize_noise(topo, alloc, cfg.replace(v_max=v_max))
+    assert np.array_equal(sig, floor)
+
+
+@pytest.mark.parametrize("name,n_min", [("full_scale_r5", None), ("full_scale_r8", None),
+                                        ("desk_train_r5", None), ("full_scale_r5", 3000.0)])
+def test_optimize_noise_matches_bisection(name, n_min):
+    """The closed form against the bisection oracle on opt's schedules of
+    seeds 0-19.  At n_min = 3000 the floor binds on r5 and some seeds have
+    no feasible scales; both sides must raise there."""
+    base = load_config(CONFIGS / f"{name}.yaml")
+    cfg = base if n_min is None else base.replace(n_min=n_min)
+    clamped = infeasible = 0
+    for seed in range(20):
+        topo = generate_topology(base, seed)
+        alloc = opt_sched(topo, base, seed)
+        mask = alloc.scheduled(topo)
+        K = topo.samples[mask].astype(float)
+        try:
+            expect = bisection_noise(K, cfg.n_min, cfg.v_max)
+        except ValueError:
+            infeasible += 1
+            with pytest.raises(InfeasibleNoiseError):
+                optimize_noise(topo, alloc, cfg)
+            continue
+        sig = optimize_noise(topo, alloc, cfg)
+        assert sig[mask] == pytest.approx(expect, rel=1e-12)
+        assert np.all(sig[~mask] == 0.0)
+        clamped += int(np.sum(sig[mask] == cfg.n_min / K))
+    if n_min is None:
+        assert infeasible == 0
+    else:
+        assert infeasible > 0
+        assert clamped > 20
 
 
 def test_optimize_noise_needs_a_schedule():
