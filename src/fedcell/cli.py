@@ -20,7 +20,7 @@ from .dp import leakage_report
 from .harness import ALGORITHMS, ExperimentSpec, allocate, emit_csv, run_experiment
 from .mlp import Mlp
 from .radio import power_system, uplink_rate
-from .scheduler import normalized_objective, objective_sum, objective_value
+from .scheduler import objective_sum, objective_value
 from .topology import generate_topology
 
 
@@ -98,8 +98,9 @@ def cmd_schedule(args) -> int:
 
     if args.dump_system:
         dump_power_system(topo, alloc, config, out_dir)
-    print(f"objective={objective_value(topo, alloc, config)!r} "
-          f"normalized={normalized_objective(topo, alloc, config)!r} "
+    objective = objective_value(topo, alloc, config)
+    print(f"objective={objective!r} "
+          f"normalized={objective / float(topo.samples.sum())!r} "
           f"scheduled={int(mask.sum())}")
     return 0
 

@@ -21,8 +21,7 @@ from .dp import InfeasibleNoiseError, leakage_report, optimize_noise
 from .fl import TrainDivergedError, train
 from .mlp import Mlp
 from .radio import Allocation, PowerSolveError
-from .scheduler import (ScheduleInfeasibleError, normalized_objective,
-                        objective_value, opt_sched, rnd_sched)
+from .scheduler import ScheduleInfeasibleError, objective_value, opt_sched, rnd_sched
 from .topology import Topology, generate_topology
 
 
@@ -162,12 +161,13 @@ def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
                 raise ScheduleInfeasibleError("no user scheduled")
             report = leakage_report(topo, alloc, config)
             const = evaluate_bound(topo, alloc, config, dim)
+            objective = objective_value(topo, alloc, config)
             rec = ReplicaRecord(
                 algorithm=alg,
                 replica=replica,
                 seed=seed,
-                objective=objective_value(topo, alloc, config),
-                normalized_objective=normalized_objective(topo, alloc, config),
+                objective=objective,
+                normalized_objective=objective / float(topo.samples.sum()),
                 scheduled_users=int(mask.sum()),
                 scheduled_samples=float(topo.samples[mask].sum()),
                 leakage_total=report.total,

@@ -293,7 +293,3 @@ def objective_sum(samples: np.ndarray, mask: np.ndarray, sigmas: np.ndarray,
     `mask` is the boolean a."""
     served = 1.0 / (samples[mask] * sigmas[mask]) ** 2
     return float(samples[~mask].sum() + gamma * served.sum())
-
-
-def normalized_objective(topo: Topology, alloc: Allocation, config: SystemConfig) -> float:
-    return objective_value(topo, alloc, config) / float(topo.samples.sum())

@@ -11,8 +11,7 @@ from oracles import brute_force_cell
 
 from fedcell.config import full_scale_config, load_config
 from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError, _init_state,
-                               build_cell_problem, normalized_objective,
-                               objective_value, opt_sched, rnd_sched,
+                               build_cell_problem, objective_value, opt_sched, rnd_sched,
                                solve_cell_schedule)
 from fedcell.topology import generate_topology
 
@@ -285,7 +284,6 @@ def test_objective_value_hand_computed():
     K = topo.samples.astype(float)
     expect = K[1] + K[2] + 2.0 / (K[0] * 0.5) ** 2
     assert objective_value(topo, alloc, cfg) == pytest.approx(expect, rel=1e-12)
-    assert normalized_objective(topo, alloc, cfg) == pytest.approx(expect / 300.0, rel=1e-12)
 
 
 def test_objective_rejects_zero_sigma_on_schedule():
