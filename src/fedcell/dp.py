@@ -8,6 +8,11 @@ sigma.  Over T rounds the zero-concentrated privacy loss per user is
 
 and the total across scheduled users is 2 T L^2 sum a / (K sigma)^2, the
 same aggregate the scheduler's noise term weights by gamma.
+
+The sensitivity 2L/K holds only when every per-sample gradient is bounded
+by L.  `fl.train` clips each user's mean gradient instead, which bounds the
+sensitivity only by 2L, so the reported rho rests on a bound the training
+does not enforce.  Per-example clipping (ROADMAP item 3) closes the gap.
 """
 from __future__ import annotations
 
