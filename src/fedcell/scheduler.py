@@ -152,8 +152,9 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
     slack = problem.v_max * problem.foreign_samples - problem.foreign_noise
     tol = problem.budget_tol
 
+    rows, cols = np.nonzero(problem.feasible)
     rb_sets = [[] for _ in range(U)]
-    for i, nb in zip(*(a.tolist() for a in np.nonzero(problem.feasible))):
+    for i, nb in zip(rows.tolist(), cols.tolist()):
         rb_sets[i].append(nb)
     order = sorted((i for i in range(U) if rb_sets[i]), key=lambda i: (cost[i], i))
     n = len(order)

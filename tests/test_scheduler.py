@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import brute_force_cell
 
+import fedcell.scheduler
 from fedcell.config import full_scale_config, load_config
 from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError, _init_state,
                                build_cell_problem, objective_value, opt_sched, rnd_sched,
@@ -133,7 +134,6 @@ def test_matches_enumeration_on_sweep_problems(monkeypatch):
     """The cell problems of opt's sweep on full_scale_r5 seeds 0-2 with at
     most 14 power-feasible users: same value and same user set as
     exhaustive enumeration."""
-    import fedcell.scheduler
     seen = []
 
     def record(problem):
