@@ -79,7 +79,7 @@ def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
         cell=cell,
         users=users,
         samples=topo.samples[users].astype(float),
-        sigmas=alloc.sigmas[users].copy(),
+        sigmas=alloc.sigmas[users],
         feasible=feasible,
         foreign_samples=float(fk.sum()),
         foreign_noise=float((fk * fsig ** 2).sum()),
@@ -89,45 +89,44 @@ def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
 
 
 def _augment(i, rb_sets, match, seen) -> bool:
-    """Find user i a block outside `seen` along an augmenting path;
-    `match` maps block -> user and is changed only on success."""
+    """Find user i a block outside `seen` along an augmenting path.
+    `match[nb]` is the user holding block nb, or None; it changes only on
+    success."""
     for nb in rb_sets[i]:
         if nb in seen:
             continue
         seen.add(nb)
-        j = match.get(nb)
+        j = match[nb]
         if j is None or _augment(j, rb_sets, match, seen):
             match[nb] = i
             return True
     return False
 
 
-def _lex_min_blocks(users, rb_sets) -> dict:
+def _lex_min_blocks(users, rb_sets, match) -> dict:
     """Assign blocks to `users` (sorted) preferring low block ids, keeping the
     remainder matchable at every step.
 
-    One perfect matching is kept throughout.  User i can take a lower block
-    nb than its matched one iff nb is free, or nb's holder finds another
-    block along an augmenting path that avoids the blocks already fixed.
+    `match` is a perfect matching of `users`, kept perfect throughout and
+    changed in place.  User i can take a lower block nb than its matched one
+    iff nb is free, or nb's holder finds another block along an augmenting
+    path that avoids the blocks already fixed.
     """
-    match = {}
-    for i in users:
-        _augment(i, rb_sets, match, set())
-    held = {i: nb for nb, i in match.items()}
+    held = {i: nb for nb, i in enumerate(match) if i is not None}
     taken = set()
     for i in users:
         for nb in rb_sets[i]:
             if nb in taken:
                 continue
             if nb != held[i]:
-                j = match.get(nb)
-                del match[held[i]]
+                j = match[nb]
+                match[held[i]] = None
                 match[nb] = i
                 if j is not None and not _augment(j, rb_sets, match, taken | {nb}):
                     match[nb] = j
                     match[held[i]] = i
                     continue
-                held = {u: b for b, u in match.items()}
+                held = {u: b for b, u in enumerate(match) if u is not None}
             taken.add(nb)
             break
     return held
@@ -176,14 +175,15 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
     if slack >= -tol:
         best_obj, best_set = 0.0, ()
 
-    match = {}
+    match = [None] * R
+    best_match = match[:]
     chosen = []
 
     def consider(total):
-        nonlocal best_obj, best_set
+        nonlocal best_obj, best_set, best_match
         key = tuple(sorted(chosen))
         if total < best_obj or (total == best_obj and (best_set is None or key < best_set)):
-            best_obj, best_set = total, key
+            best_obj, best_set, best_match = total, key, match[:]
 
     def dfs(pos, sum_c, sum_g):
         if pos == n or len(chosen) == R:
@@ -196,7 +196,7 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
         if bound > best_obj:
             return
         i = order[pos]
-        saved = dict(match)
+        saved = match[:]
         if _augment(i, rb_sets, match, set()):
             chosen.append(i)
             nc = sum_c + cost[i]
@@ -205,8 +205,7 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
                 consider(nc)
             dfs(pos + 1, nc, ng)
             chosen.pop()
-            match.clear()
-            match.update(saved)
+            match[:] = saved
         dfs(pos + 1, sum_c, sum_g)
 
     dfs(0, 0.0, 0.0)
@@ -215,7 +214,7 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
             f"cell {problem.cell}: no user set fits the noise budget")
 
     block = np.full(U, -1)
-    for i, nb in _lex_min_blocks(best_set, rb_sets).items():
+    for i, nb in _lex_min_blocks(best_set, rb_sets, best_match).items():
         block[i] = nb
     x = (block >= 0).astype(float)
     objective = float(np.sum(K * (1.0 - x)) + problem.gamma * np.sum(w * x))
