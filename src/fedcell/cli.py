@@ -2,8 +2,10 @@
 
     fedcell-sim run      --config cfg.yaml --algorithms rnd,opt,opt+dp --out dir
     fedcell-sim schedule --config cfg.yaml --algorithm opt --out dir
-    fedcell-sim privacy  --config cfg.yaml --algorithm opt+dp
-    fedcell-sim bound    --config cfg.yaml --algorithm opt
+
+`run` writes the objective, accuracy, loss and leakage csvs and the
+convergence constants of every replica; `schedule` writes one allocation with
+each user's privacy loss.
 """
 from __future__ import annotations
 
@@ -12,13 +14,9 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bounds import c3_constraint_check, evaluate_bound
 from .config import load_config
 from .dp import leakage_report
 from .harness import ALGORITHMS, ExperimentSpec, allocate, emit_csv, run_experiment
-from .mlp import Mlp
 from .radio import power_system, uplink_rate
 from .scheduler import objective_sum, objective_value
 from .topology import generate_topology
@@ -39,12 +37,6 @@ def dump_power_system(topo, alloc, config, out_dir: Path) -> list:
         for j, u in enumerate(sched):
             wr.writerow([str(int(u)), repr(float(b[j]))])
     return paths
-
-
-def _open_out(path):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
 
 
 def cmd_run(args) -> int:
@@ -79,12 +71,15 @@ def cmd_schedule(args) -> int:
 
     with open(out_dir / "allocation.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["user", "cell", "samples", "block", "power_w", "sigma", "rate_bit_s"])
+        wr.writerow(["user", "cell", "samples", "block", "power_w", "sigma",
+                     "rate_bit_s", "rho"])
         rates = uplink_rate(alloc, topo, config)
+        rho = leakage_report(topo, alloc, config).rho
         for u in range(topo.num_users):
             wr.writerow([u, int(topo.assignment[u]), int(topo.samples[u]),
                          int(alloc.block[u]), repr(float(alloc.powers[u])),
-                         repr(float(alloc.sigmas[u])), repr(float(rates[u]))])
+                         repr(float(alloc.sigmas[u])), repr(float(rates[u])),
+                         repr(float(rho[u]))])
 
     mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
@@ -102,44 +97,6 @@ def cmd_schedule(args) -> int:
     print(f"objective={objective!r} "
           f"normalized={objective / float(topo.samples.sum())!r} "
           f"scheduled={int(mask.sum())}")
-    return 0
-
-
-def cmd_privacy(args) -> int:
-    config = load_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
-    topo = generate_topology(config, seed)
-    alloc = allocate(args.algorithm, topo, config, seed)
-    report = leakage_report(topo, alloc, config)
-    mask = alloc.scheduled(topo)
-    fh, close = _open_out(args.out)
-    try:
-        wr = csv.writer(fh)
-        wr.writerow(["user", "cell", "samples", "sigma", "rho"])
-        for u in np.flatnonzero(mask):
-            wr.writerow([int(u), int(topo.assignment[u]), int(topo.samples[u]),
-                         repr(float(alloc.sigmas[u])), repr(float(report.rho[u]))])
-        wr.writerow(["total", "", "", "", repr(report.total)])
-    finally:
-        if close:
-            fh.close()
-    return 0
-
-
-def cmd_bound(args) -> int:
-    config = load_config(args.config)
-    seed = config.seed if args.seed is None else args.seed
-    topo = generate_topology(config, seed)
-    alloc = allocate(args.algorithm, topo, config, seed)
-    dim = args.dim
-    if dim is None:
-        dim = Mlp(config.synthetic_features, config.synthetic_classes).dim
-    const = evaluate_bound(topo, alloc, config, dim)
-    ok = c3_constraint_check(topo, alloc, config)
-    wr = csv.writer(sys.stdout)
-    wr.writerow(["c1", "c2", "c3", "converges", "c3_check"])
-    wr.writerow([repr(const.c1), repr(const.c2), repr(const.c3),
-                 "true" if const.converges else "false", "true" if ok else "false"])
     return 0
 
 
@@ -166,21 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--dump-system", action="store_true",
                        help="also write the power equality system A, b")
     sched.set_defaults(func=cmd_schedule)
-
-    priv = sub.add_parser("privacy", help="per-user privacy loss as csv")
-    priv.add_argument("--config", required=True)
-    priv.add_argument("--algorithm", choices=ALGORITHMS, default="opt+dp")
-    priv.add_argument("--seed", type=int, default=None)
-    priv.add_argument("--out", default="-")
-    priv.set_defaults(func=cmd_privacy)
-
-    bound = sub.add_parser("bound", help="convergence constants for a schedule")
-    bound.add_argument("--config", required=True)
-    bound.add_argument("--algorithm", choices=ALGORITHMS, default="opt")
-    bound.add_argument("--seed", type=int, default=None)
-    bound.add_argument("--dim", type=int, default=None,
-                       help="model dimension; defaults to the configured model")
-    bound.set_defaults(func=cmd_bound)
     return parser
 
 

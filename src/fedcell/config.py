@@ -6,8 +6,7 @@ converted once at load time.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -23,14 +22,11 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(watts) + 30.0
-
-
 @dataclass
 class SystemConfig:
+    """Defaults are the full-scale 5-block profile; the shipped profiles are
+    the yaml files under configs/."""
+
     # layout / radio
     num_cells: int = 7
     num_rbs: int = 5                     # resource blocks per cell
@@ -148,31 +144,3 @@ def load_config(path: str | Path) -> SystemConfig:
         raw = {}
     return config_from_mapping(raw)
 
-
-def full_scale_config(num_rbs: int = 5, gamma: float = 1e6, **overrides) -> SystemConfig:
-    """Full-scale constants: 7 cells, 100 users, 60k samples."""
-    cfg = SystemConfig(num_rbs=num_rbs, gamma=gamma)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
-
-
-def desk_training_config(**overrides) -> SystemConfig:
-    """Training-sized instance: 6k samples and rescaled noise constants.
-
-    Per-user sample counts shrink by 10x relative to the full-scale setup, so
-    the sigma floor and the objective weight are rescaled to keep the
-    schedule/noise trade-off in the same regime.
-    """
-    cfg = SystemConfig(
-        total_samples=6000,
-        n_min=3.0,
-        gamma=100.0,
-        dataset_train_size=6000,
-        dataset_test_size=1000,
-    )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg

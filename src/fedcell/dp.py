@@ -45,16 +45,13 @@ def leakage(rounds: int, clip: float, samples, sigma):
 class LeakageReport:
     rho: np.ndarray      # (num_users,) per-user loss, zero when unscheduled
     total: float
-    rounds: int
-    clip: float
 
 
 def leakage_report(topo: Topology, alloc: Allocation, config: SystemConfig) -> LeakageReport:
     mask = alloc.scheduled(topo)
     rho = np.zeros(topo.num_users)
     rho[mask] = leakage(config.rounds, config.clip, topo.samples[mask], alloc.sigmas[mask])
-    return LeakageReport(rho=rho, total=float(rho.sum()),
-                         rounds=config.rounds, clip=config.clip)
+    return LeakageReport(rho=rho, total=float(rho.sum()))
 
 
 def optimize_noise(topo: Topology, alloc: Allocation, config: SystemConfig) -> np.ndarray:

@@ -58,7 +58,6 @@ class CellProblem:
 class ScheduleSolution:
     block: np.ndarray            # (users,) block id in the cell, -1 when unscheduled
     objective: float             # cell share of the global objective
-    status: str = "exact"
 
 
 def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
@@ -216,8 +215,7 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
     block = np.full(U, -1)
     for i, nb in _lex_min_blocks(best_set, rb_sets, best_match).items():
         block[i] = nb
-    x = (block >= 0).astype(float)
-    objective = float(np.sum(K * (1.0 - x)) + problem.gamma * np.sum(w * x))
+    objective = objective_sum(K, block >= 0, problem.sigmas, problem.gamma)
     return ScheduleSolution(block=block, objective=objective)
 
 

@@ -5,6 +5,7 @@ line (written straight to the terminal so it survives pytest capture).  The
 training checks share one experiment run through a module fixture.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import conftest
 from oracles import brute_force_cell, central_difference, grid_noise_minimum
 
-from fedcell.config import desk_training_config, full_scale_config
+from fedcell.config import SystemConfig, load_config
 from fedcell.data import build_shards, load_dataset
 from fedcell.dp import InfeasibleNoiseError, leakage, optimize_noise
 from fedcell.fl import train
@@ -24,6 +25,8 @@ from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError,
                                solve_cell_schedule)
 from fedcell.topology import generate_topology
 from fedcell import seeding
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -37,7 +40,7 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def desk_run():
     """Ten paired training replicas at desk scale, shared by two checks."""
-    spec = ExperimentSpec(config=desk_training_config(),
+    spec = ExperimentSpec(config=load_config(CONFIGS / "desk_train_r5.yaml"),
                           algorithms=ALGORITHMS, replicas=10, train=True)
     t0 = time.perf_counter()
     table = run_experiment(spec)
@@ -90,8 +93,8 @@ def test_cell_solver_matches_exhaustive_enumeration():
 def test_schedule_objective_dominance_across_replicas():
     t0 = time.perf_counter()
     fractions = {}
-    for scenario, cfg in (("r5", full_scale_config(num_rbs=5, gamma=1e6)),
-                          ("r8", full_scale_config(num_rbs=8, gamma=1e7))):
+    for scenario in ("r5", "r8"):
+        cfg = load_config(CONFIGS / f"full_scale_{scenario}.yaml")
         spec = ExperimentSpec(config=cfg, replicas=100)
         table = run_experiment(spec)
         opt, rnd = table.paired("objective", "opt", "rnd")
@@ -155,7 +158,7 @@ def random_noise_instance(rng, idx: int):
     users = int(rng.integers(1, 4))
     # log-scale draws so tight budgets (floor-infeasible) appear as well
     samples = int(10.0 ** rng.uniform(np.log10(users * 15), 3.3))
-    cfg = full_scale_config(
+    cfg = SystemConfig().replace(
         num_cells=1, total_users=users, num_rbs=3,
         total_samples=samples,
         n_min=float(rng.uniform(0.5, 40.0)),
@@ -223,10 +226,10 @@ def test_gradients_match_finite_differences():
 
 
 def test_noiseless_single_cell_equals_batch_descent():
-    cfg = full_scale_config(num_cells=1, total_users=6, total_samples=120,
-                       num_rbs=6, rounds=50, clip=1e6,
-                       dataset_train_size=150, dataset_test_size=30,
-                       synthetic_features=8, synthetic_classes=3)
+    cfg = SystemConfig().replace(num_cells=1, total_users=6, total_samples=120,
+                                 num_rbs=6, rounds=50, clip=1e6,
+                                 dataset_train_size=150, dataset_test_size=30,
+                                 synthetic_features=8, synthetic_classes=3)
     topo = generate_topology(cfg, 0)
     ds = load_dataset(cfg)
     alloc = empty_allocation(topo)
@@ -268,10 +271,10 @@ def test_leakage_closed_form_and_scaling():
 
 
 def test_csv_outputs_reproduce_byte_for_byte(tmp_path):
-    cfg = full_scale_config(total_users=12, total_samples=7200, num_rbs=3,
-                       synthetic_features=8, synthetic_classes=3,
-                       dataset_train_size=7200, dataset_test_size=60,
-                       rounds=3)
+    cfg = SystemConfig().replace(total_users=12, total_samples=7200, num_rbs=3,
+                                 synthetic_features=8, synthetic_classes=3,
+                                 dataset_train_size=7200, dataset_test_size=60,
+                                 rounds=3)
     outs = []
     for tag, jobs in (("first", 1), ("second", 1), ("pool", 2)):
         spec = ExperimentSpec(config=cfg, algorithms=ALGORITHMS, replicas=3,

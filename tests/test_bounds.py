@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from fedcell.bounds import BoundConstants, c3_constraint_check, evaluate_bound
-from fedcell.config import full_scale_config
+from fedcell.config import SystemConfig
 from fedcell.radio import empty_allocation
 from fedcell.scheduler import opt_sched
 from fedcell.topology import generate_topology
 
 
 def manual_setup(scheduled, sigma, **over):
-    cfg = full_scale_config(num_cells=1, total_users=4, total_samples=1000, **over)
+    cfg = SystemConfig().replace(num_cells=1, total_users=4, total_samples=1000, **over)
     topo = generate_topology(cfg, 0)
     alloc = empty_allocation(topo)
     alloc.block[scheduled] = np.arange(len(scheduled))
@@ -87,7 +87,7 @@ def test_c3_check_empty_schedule_is_trivially_true():
 
 
 def test_pipeline_allocations_converge():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     topo = generate_topology(cfg, 8)
     alloc = opt_sched(topo, cfg, 8)
     got = evaluate_bound(topo, alloc, cfg, 1000)

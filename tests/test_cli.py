@@ -1,9 +1,20 @@
 """Command line entry points, exercised through main()."""
 import csv
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fedcell.cli import main
+from fedcell.bounds import c3_constraint_check, evaluate_bound
+from fedcell.cli import build_parser, main
+from fedcell.config import load_config
+from fedcell.dp import leakage
+from fedcell.harness import _model_dim, allocate
+from fedcell.topology import generate_topology
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 CONFIG_YAML = """\
 num_cells: 7
@@ -70,7 +81,7 @@ def test_schedule_emits_allocation_and_cell_objectives(config_path, tmp_path,
     assert "objective=" in capsys.readouterr().out
     rows = read_rows(out / "allocation.csv")
     assert rows[0] == ["user", "cell", "samples", "block", "power_w",
-                       "sigma", "rate_bit_s"]
+                       "sigma", "rate_bit_s", "rho"]
     assert len(rows) == 1 + 12
     for row in rows[1:]:
         block = int(row[3])
@@ -80,6 +91,7 @@ def test_schedule_emits_allocation_and_cell_objectives(config_path, tmp_path,
             assert float(row[6]) >= 100e3 * (1 - 1e-6)
         else:
             assert float(row[4]) == 0.0
+            assert row[7] == "0.0"
     cells = read_rows(out / "cell_objectives.csv")
     assert cells[0] == ["cell", "objective"]
     assert len(cells) == 1 + 7
@@ -98,43 +110,40 @@ def test_schedule_can_dump_the_power_system(config_path, tmp_path):
     assert len(b) == 1 + n
 
 
-def test_privacy_prints_per_user_rows_and_total(config_path, capsys):
-    rc = main(["privacy", "--config", config_path, "--algorithm", "opt+dp",
-               "--seed", "2"])
+def test_schedule_rho_matches_leakage_and_run_total(config_path, tmp_path):
+    rc = main(["schedule", "--config", config_path, "--algorithm", "opt+dp",
+               "--seed", "2", "--out", str(tmp_path / "sched")])
     assert rc == 0
-    rows = [r for r in csv.reader(capsys.readouterr().out.splitlines())]
-    assert rows[0] == ["user", "cell", "samples", "sigma", "rho"]
-    assert rows[-1][0] == "total"
-    body = rows[1:-1]
-    assert len(body) >= 1
-    total = float(rows[-1][4])
-    assert total == pytest.approx(sum(float(r[4]) for r in body), rel=1e-12)
+    rows = read_rows(tmp_path / "sched" / "allocation.csv")[1:]
+    rho = np.array([float(r[7]) for r in rows])
+    served = np.array([int(r[3]) >= 0 for r in rows])
+    samples = np.array([int(r[2]) for r in rows])
+    sigmas = np.array([float(r[5]) for r in rows])
+    assert served.any()
+    cfg = load_config(config_path)
+    assert np.array_equal(rho[served], leakage(cfg.rounds, cfg.clip,
+                                               samples[served], sigmas[served]))
 
-
-def test_privacy_can_write_to_a_file(config_path, tmp_path):
-    target = tmp_path / "privacy.csv"
-    rc = main(["privacy", "--config", config_path, "--out", str(target)])
+    rc = main(["run", "--config", config_path, "--replicas", "1", "--seed", "2",
+               "--algorithms", "opt+dp", "--out", str(tmp_path / "run")])
     assert rc == 0
-    rows = read_rows(target)
-    assert rows[0] == ["user", "cell", "samples", "sigma", "rho"]
-    assert rows[-1][0] == "total"
+    (row,) = read_rows(tmp_path / "run" / "bounds.csv")[1:]
+    assert row[7] == repr(float(rho.sum()))
 
 
-def test_bound_reports_constants(config_path, capsys):
-    rc = main(["bound", "--config", config_path, "--dim", "100"])
+def test_run_bounds_row_matches_evaluate_bound(config_path, tmp_path):
+    rc = main(["run", "--config", config_path, "--replicas", "1", "--seed", "3",
+               "--algorithms", "opt", "--out", str(tmp_path / "run")])
     assert rc == 0
-    first = capsys.readouterr().out.splitlines()
-    assert first[0].split(",") == ["c1", "c2", "c3", "converges", "c3_check"]
-    c1, c2, c3, conv, ok = first[1].split(",")
-    # plain decimal reprs, no wrapper types
-    assert float(c1) > 0.0 and float(c2) >= 0.0 and float(c3) >= 0.0
-    assert conv in ("true", "false") and ok in ("true", "false")
-
-    rc = main(["bound", "--config", config_path, "--dim", "200"])
-    assert rc == 0
-    second = capsys.readouterr().out.splitlines()
-    # the noise term scales linearly with the model dimension
-    assert float(second[1].split(",")[2]) == pytest.approx(2 * float(c3))
+    (row,) = read_rows(tmp_path / "run" / "bounds.csv")[1:]
+    cfg = load_config(config_path)
+    topo = generate_topology(cfg, 3)
+    alloc = allocate("opt", topo, cfg, 3)
+    const = evaluate_bound(topo, alloc, cfg, _model_dim(cfg, None))
+    ok = c3_constraint_check(topo, alloc, cfg)
+    assert row[8:] == [repr(const.c1), repr(const.c2), repr(const.c3),
+                       "true" if const.converges else "false",
+                       "true" if ok else "false"]
 
 
 def test_missing_config_reports_an_error(tmp_path, capsys):
@@ -147,6 +156,28 @@ def test_missing_config_reports_an_error(tmp_path, capsys):
 def test_bad_config_key_reports_an_error(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text("num_rbs: 3\nbandwith: 2.0\n")
-    rc = main(["bound", "--config", str(p)])
+    rc = main(["schedule", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "bandwith" in capsys.readouterr().err
+
+
+def script_calls(path):
+    """The fedcell-sim argument lists of a shell script, continuation lines
+    joined and shell variables replaced by a placeholder that parses as an
+    integer or a path."""
+    text = path.read_text().replace("\\\n", " ")
+    calls = []
+    for line in text.splitlines():
+        words = shlex.split(line, comments=True)
+        if words and words[0] == "fedcell-sim":
+            calls.append([re.sub(r"\$\{?\w+\}?", "0", w) for w in words[1:]])
+    return calls
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.sh")))
+def test_scripts_use_existing_commands_and_flags(script):
+    calls = script_calls(SCRIPTS / script)
+    assert calls
+    parser = build_parser()
+    for argv in calls:
+        parser.parse_args(argv)

@@ -1,10 +1,12 @@
-import math
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from fedcell.config import (ConfigError, SystemConfig, config_from_mapping,
-                            dbm_to_watts, desk_training_config, load_config,
-                            full_scale_config, watts_to_dbm)
+                            dbm_to_watts, load_config)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_dbm_conversions_known_values():
@@ -15,15 +17,10 @@ def test_dbm_conversions_known_values():
     assert dbm_to_watts(-174.0) == pytest.approx(3.981071705534986e-21, rel=1e-15)
 
 
-def test_dbm_round_trip():
-    for dbm in (-174.0, -30.0, 0.0, 10.0, 46.0):
-        assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-12)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
-
-
 def test_defaults_are_full_scale():
-    cfg = full_scale_config()
+    cfg = load_config(CONFIGS / "full_scale_r5.yaml")
+    # the defaults are this profile, field for field
+    assert asdict(cfg) == asdict(SystemConfig())
     assert cfg.num_cells == 7
     assert cfg.num_rbs == 5
     assert cfg.total_users == 100
@@ -40,8 +37,18 @@ def test_defaults_are_full_scale():
     assert cfg.total_samples == 60000
 
 
+def test_r8_profile_differs_in_blocks_and_noise_weight():
+    r5 = asdict(load_config(CONFIGS / "full_scale_r5.yaml"))
+    r8 = asdict(load_config(CONFIGS / "full_scale_r8.yaml"))
+    assert {k for k in r5 if r5[k] != r8[k]} == {"num_rbs", "gamma"}
+    assert r8["num_rbs"] == 8
+    assert r8["gamma"] == 1e7
+
+
 def test_desk_profile_rescales_noise_constants():
-    cfg = desk_training_config()
+    cfg = load_config(CONFIGS / "desk_train_r5.yaml")
+    desk, full = asdict(cfg), asdict(SystemConfig())
+    assert {k for k in desk if desk[k] != full[k]} == {"total_samples", "n_min", "gamma"}
     assert cfg.total_samples == 6000
     assert cfg.dataset_train_size == 6000
     assert cfg.n_min == 3.0
@@ -93,7 +100,7 @@ def test_invalid_values_rejected():
 
 
 def test_replace_validates():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     with pytest.raises(ConfigError):
         cfg.replace(step=-1.0)
     assert cfg.replace(num_rbs=8).num_rbs == 8

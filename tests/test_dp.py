@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import bisection_noise
 
-from fedcell.config import full_scale_config, load_config
+from fedcell.config import SystemConfig, load_config
 from fedcell.dp import InfeasibleNoiseError, leakage, leakage_report, optimize_noise
 from fedcell.harness import allocate
 from fedcell.radio import empty_allocation
@@ -39,7 +39,7 @@ def test_leakage_inverse_square_in_sigma(rounds, clip, scale, factor):
 
 
 def small_system(seed=0, **over):
-    cfg = full_scale_config(**over) if over else full_scale_config()
+    cfg = SystemConfig().replace(**over)
     topo = generate_topology(cfg, seed)
     return cfg, topo
 
@@ -97,7 +97,7 @@ def test_optimize_noise_stationarity_structure():
 
 
 def test_optimize_noise_single_user_closed_form():
-    cfg = full_scale_config(num_cells=1, total_users=1, total_samples=1000)
+    cfg = SystemConfig().replace(num_cells=1, total_users=1, total_samples=1000)
     topo = generate_topology(cfg, 0)
     alloc = manual_allocation(topo, cfg, [0])
     sig = optimize_noise(topo, alloc, cfg)
@@ -107,8 +107,8 @@ def test_optimize_noise_single_user_closed_form():
 
 def test_optimize_noise_clamps_to_floor():
     # tiny holder forced to the floor while the big one spends the budget
-    cfg = full_scale_config(num_cells=1, total_users=2, total_samples=10000,
-                       n_min=90.0, lognormal_sigma=3.0)
+    cfg = SystemConfig().replace(num_cells=1, total_users=2, total_samples=10000,
+                                 n_min=90.0, lognormal_sigma=3.0)
     topo = generate_topology(cfg, 12)
     if topo.samples.min() > 200:
         pytest.skip("draw did not produce a skewed split")
@@ -121,8 +121,8 @@ def test_optimize_noise_clamps_to_floor():
 
 
 def test_optimize_noise_infeasible_floor():
-    cfg = full_scale_config(num_cells=1, total_users=2, total_samples=200,
-                       n_min=100.0, v_max=0.5)
+    cfg = SystemConfig().replace(num_cells=1, total_users=2, total_samples=200,
+                                 n_min=100.0, v_max=0.5)
     topo = generate_topology(cfg, 1)
     alloc = manual_allocation(topo, cfg, [0, 1])
     # floors sigma >= 100/K with K ~ 100 make K sigma^2 ~ 100 >> v_max K
@@ -132,7 +132,7 @@ def test_optimize_noise_infeasible_floor():
 
 def test_optimize_noise_floor_alone_meets_budget():
     """When the floor spends the whole budget, every user sits on it."""
-    cfg = full_scale_config(num_cells=1, total_users=3, total_samples=900)
+    cfg = SystemConfig().replace(num_cells=1, total_users=3, total_samples=900)
     topo = generate_topology(cfg, 2)
     alloc = manual_allocation(topo, cfg, [0, 1, 2])
     K = topo.samples.astype(float)
@@ -203,7 +203,7 @@ def test_opt_sched_dp_keeps_schedule_and_improves_objective():
 @given(seed=st.integers(0, 100))
 def test_optimize_noise_monotone_in_budget(seed):
     """A looser variance budget never increases the optimal leakage term."""
-    cfg = full_scale_config(num_cells=1, total_users=4, total_samples=2400)
+    cfg = SystemConfig().replace(num_cells=1, total_users=4, total_samples=2400)
     topo = generate_topology(cfg, seed)
     alloc = manual_allocation(topo, cfg, list(range(4)))
     tight = optimize_noise(topo, alloc, cfg)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import gradient_descent, two_level_round
 
 from fedcell import seeding
-from fedcell.config import full_scale_config
+from fedcell.config import SystemConfig
 from fedcell.data import build_shards, load_dataset
 from fedcell.fl import (TrainDivergedError, bs_aggregate, clip_global_norm,
                         gaussian_mechanism, global_aggregate, local_gradient,
@@ -112,7 +112,7 @@ def tiny_training_config(**over):
                 rounds=5, clip=1e6, dataset_train_size=150, dataset_test_size=30,
                 synthetic_features=8, synthetic_classes=3)
     base.update(over)
-    return full_scale_config(**base)
+    return SystemConfig().replace(**base)
 
 
 def test_noiseless_single_cell_equals_batch_descent():

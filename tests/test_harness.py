@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fedcell.harness
-from fedcell.config import full_scale_config, load_config
+from fedcell.config import SystemConfig, load_config
 from fedcell.dp import InfeasibleNoiseError
 from fedcell.harness import (ALGORITHMS, CSV_NAMES, ExperimentSpec,
                              MetricsTable, ReplicaRecord, _fmt, allocate,
@@ -19,7 +19,7 @@ def small_config(**overrides):
                 synthetic_features=8, synthetic_classes=3,
                 dataset_train_size=7200, dataset_test_size=60, rounds=3)
     base.update(overrides)
-    return full_scale_config(**base)
+    return SystemConfig().replace(**base)
 
 
 def test_run_replica_produces_one_record_per_algorithm():

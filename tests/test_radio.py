@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from fedcell.config import full_scale_config, load_config
+from fedcell.config import SystemConfig, load_config
 from fedcell.radio import (empty_allocation, enforce_rate, interference,
                            power_system, snr_gap, solve_powers, uplink_rate)
 from fedcell.scheduler import _init_state, opt_sched
@@ -19,7 +19,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_snr_gap_reference_value():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     # 2^(100/180) - 1
     assert snr_gap(cfg) == pytest.approx(0.4697344922755988, rel=1e-15)
 
@@ -27,7 +27,7 @@ def test_snr_gap_reference_value():
 def two_cell_topology(seed=0, users=8):
     """Seven-cell layout trimmed by config to stay small is not possible, so
     use the full layout with few users; what matters is having >= 2 cells."""
-    cfg = full_scale_config(total_users=users, total_samples=users * 50)
+    cfg = SystemConfig().replace(total_users=users, total_samples=users * 50)
     return cfg, generate_topology(cfg, seed)
 
 
@@ -101,7 +101,7 @@ def test_interference_linear_in_power():
 
 
 def test_interference_zero_without_other_transmitters():
-    cfg = full_scale_config(num_cells=1, total_users=5, total_samples=250)
+    cfg = SystemConfig().replace(num_cells=1, total_users=5, total_samples=250)
     topo = generate_topology(cfg, 0)
     alloc = schedule_everyone_round_robin(topo, cfg)
     assert np.array_equal(interference(alloc, topo, cfg.num_rbs),
@@ -109,7 +109,7 @@ def test_interference_zero_without_other_transmitters():
 
 
 def single_user_setup(h=1e-10):
-    cfg = full_scale_config(num_cells=1, total_users=1, total_samples=100)
+    cfg = SystemConfig().replace(num_cells=1, total_users=1, total_samples=100)
     topo = generate_topology(cfg, 0)
     # pin the gain to a known value through a rebuilt topology copy
     gains = np.full_like(topo.gains, h)
@@ -185,7 +185,7 @@ def test_power_system_structure():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_power_system_equals_oracle_loop(seed):
-    cfg = full_scale_config(total_users=40, total_samples=24000)
+    cfg = SystemConfig().replace(total_users=40, total_samples=24000)
     topo = generate_topology(cfg, seed)
     rng = np.random.default_rng(seed)
     alloc = empty_allocation(topo)
@@ -297,7 +297,7 @@ def test_solve_powers_respects_cap():
 def random_schedule(seed, users, num_rbs):
     """Every cell schedules a random number of its users on distinct random
     blocks, so blocks carry anywhere from zero to seven co-channel users."""
-    cfg = full_scale_config(total_users=users, total_samples=users * 50, num_rbs=num_rbs)
+    cfg = SystemConfig().replace(total_users=users, total_samples=users * 50, num_rbs=num_rbs)
     topo = generate_topology(cfg, seed)
     rng = np.random.default_rng(seed)
     alloc = empty_allocation(topo)
@@ -344,7 +344,7 @@ def test_solve_powers_keeps_a_user_who_needs_nanowatts(name):
 
 
 def test_enforce_rate_keeps_satisfied_users():
-    cfg = full_scale_config(num_cells=1, total_users=5, total_samples=250)
+    cfg = SystemConfig().replace(num_cells=1, total_users=5, total_samples=250)
     topo = generate_topology(cfg, 1)
     alloc = schedule_everyone_round_robin(topo, cfg)
     alloc.powers = solve_powers(topo, alloc, cfg)

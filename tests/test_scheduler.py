@@ -10,7 +10,7 @@ import oracles
 from oracles import brute_force_cell
 
 import fedcell.scheduler
-from fedcell.config import full_scale_config, load_config
+from fedcell.config import SystemConfig, load_config
 from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError, _init_state,
                                build_cell_problem, objective_value, opt_sched, rnd_sched,
                                solve_cell_schedule)
@@ -46,7 +46,6 @@ def test_prefers_sample_rich_users():
                         np.ones((3, 2), dtype=bool), gamma=1e-3)
     sol = solve_cell_schedule(prob)
     assert solution_set(sol) == (0, 2)
-    assert sol.status == "exact"
 
 
 def test_noise_weight_can_flip_the_choice():
@@ -76,6 +75,25 @@ def test_matching_limits_to_distinct_blocks():
     assert solution_set(sol) == (0, 2)
     rb_of = {i: int(sol.block[i]) for i in solution_set(sol)}
     assert rb_of == {0: 0, 2: 1}
+
+
+def test_exact_tie_takes_the_smallest_user_set():
+    # identical users compete for one block: both sets cost the same
+    prob = make_problem([100, 100], [0.1, 0.1], np.ones((2, 1), dtype=bool),
+                        gamma=1e-3)
+    assert solve_cell_schedule(prob).block.tolist() == [0, -1]
+
+
+def test_exact_tie_respects_the_matching():
+    # any two of three identical users tie; user 1 can only use block 1
+    feas = np.array([[True, True], [False, True], [True, True]])
+    prob = make_problem([100, 100, 100], [0.1, 0.1, 0.1], feas, gamma=1e-3)
+    assert solve_cell_schedule(prob).block.tolist() == [0, 1, -1]
+
+
+def test_user_takes_its_lowest_feasible_block():
+    prob = make_problem([100], [0.1], np.ones((1, 3), dtype=bool), gamma=1e-3)
+    assert solve_cell_schedule(prob).block.tolist() == [0]
 
 
 def test_no_feasible_pair_schedules_nobody():
@@ -194,7 +212,7 @@ def test_solution_beats_single_swaps(seed):
 
 
 def test_build_cell_problem_feasibility_matches_required_power():
-    cfg = full_scale_config(total_users=30, total_samples=18000)
+    cfg = SystemConfig().replace(total_users=30, total_samples=18000)
     topo = generate_topology(cfg, 3)
     alloc = init_allocation(topo, cfg, 3)
     for cell in range(topo.num_cells):
@@ -206,7 +224,7 @@ def test_build_cell_problem_feasibility_matches_required_power():
 
 
 def test_build_cell_problem_foreign_sums():
-    cfg = full_scale_config(total_users=25, total_samples=15000)
+    cfg = SystemConfig().replace(total_users=25, total_samples=15000)
     topo = generate_topology(cfg, 4)
     alloc = init_allocation(topo, cfg, 4)
     mask = alloc.scheduled(topo)
@@ -222,7 +240,7 @@ def test_build_cell_problem_foreign_sums():
 
 
 def test_init_allocation_structure():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     topo = generate_topology(cfg, 9)
     alloc = init_allocation(topo, cfg, 9)
     assert oracles.validate_allocation(alloc, topo, cfg) == []
@@ -244,7 +262,7 @@ def test_init_allocation_structure():
 
 
 def test_init_allocation_deterministic():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     topo = generate_topology(cfg, 5)
     a = init_allocation(topo, cfg, 5)
     b = init_allocation(topo, cfg, 5)
@@ -256,7 +274,7 @@ def test_init_allocation_deterministic():
 
 
 def test_schedulers_produce_valid_allocations():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     for seed in (0, 1):
         topo = generate_topology(cfg, seed)
         for builder in (rnd_sched, opt_sched):
@@ -265,7 +283,7 @@ def test_schedulers_produce_valid_allocations():
 
 
 def test_opt_beats_rnd_on_fixed_seeds():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     for seed in (0, 1, 2, 3):
         topo = generate_topology(cfg, seed)
         o = objective_value(topo, opt_sched(topo, cfg, seed), cfg)
@@ -274,8 +292,8 @@ def test_opt_beats_rnd_on_fixed_seeds():
 
 
 def test_objective_value_hand_computed():
-    cfg = full_scale_config(num_cells=1, total_users=3, total_samples=300,
-                       gamma=2.0, num_rbs=2)
+    cfg = SystemConfig().replace(num_cells=1, total_users=3, total_samples=300,
+                                 gamma=2.0, num_rbs=2)
     topo = generate_topology(cfg, 0)
     from fedcell.radio import empty_allocation
     alloc = empty_allocation(topo)
@@ -287,7 +305,7 @@ def test_objective_value_hand_computed():
 
 
 def test_objective_rejects_zero_sigma_on_schedule():
-    cfg = full_scale_config(num_cells=1, total_users=2, total_samples=100)
+    cfg = SystemConfig().replace(num_cells=1, total_users=2, total_samples=100)
     topo = generate_topology(cfg, 0)
     from fedcell.radio import empty_allocation
     alloc = empty_allocation(topo)

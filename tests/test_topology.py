@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcell.config import full_scale_config
+from fedcell.config import SystemConfig
 from fedcell.topology import (Topology, channel_gains, generate_topology,
                               hex_centers, partition_samples)
 
@@ -13,7 +13,7 @@ from fedcell.topology import (Topology, channel_gains, generate_topology,
 def small_config(**over):
     base = dict(num_cells=1, total_users=12, total_samples=600, cell_radius=200.0)
     base.update(over)
-    return full_scale_config(**base)
+    return SystemConfig().replace(**base)
 
 
 def test_single_cell_at_origin():
@@ -63,7 +63,7 @@ def test_gain_scales_with_fading_squared():
 
 
 def test_generate_topology_shapes_and_bounds():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     topo = generate_topology(cfg, 7)
     S, U = cfg.num_cells, cfg.total_users
     assert topo.cell_centers.shape == (S, 2)
@@ -77,7 +77,7 @@ def test_generate_topology_shapes_and_bounds():
 
 
 def test_assignment_is_nearest_base_station():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     topo = generate_topology(cfg, 3)
     for u in range(topo.num_users):
         d = [np.linalg.norm(topo.cell_centers[s] - topo.user_positions[u])
@@ -86,7 +86,7 @@ def test_assignment_is_nearest_base_station():
 
 
 def test_cell_users_partition_users():
-    topo = generate_topology(full_scale_config(), 5)
+    topo = generate_topology(SystemConfig(), 5)
     seen = np.concatenate(topo.cell_users)
     assert sorted(seen) == list(range(topo.num_users))
     for s, users in enumerate(topo.cell_users):
@@ -102,7 +102,7 @@ def test_distance_floor_applies():
 
 
 def test_topology_is_deterministic():
-    cfg = full_scale_config()
+    cfg = SystemConfig()
     a = generate_topology(cfg, 42)
     b = generate_topology(cfg, 42)
     assert np.array_equal(a.user_positions, b.user_positions)
@@ -139,6 +139,6 @@ def test_partition_rejects_starving_users():
 
 
 def test_arrays_are_frozen():
-    topo = generate_topology(full_scale_config(), 2)
+    topo = generate_topology(SystemConfig(), 2)
     with pytest.raises(ValueError):
         topo.gains[0, 0] = 1.0
