@@ -143,4 +143,3 @@ def load_config(path: str | Path) -> SystemConfig:
     if raw is None:
         raw = {}
     return config_from_mapping(raw)
-

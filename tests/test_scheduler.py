@@ -77,23 +77,18 @@ def test_matching_limits_to_distinct_blocks():
     assert rb_of == {0: 0, 2: 1}
 
 
-def test_exact_tie_takes_the_smallest_user_set():
-    # identical users compete for one block: both sets cost the same
-    prob = make_problem([100, 100], [0.1, 0.1], np.ones((2, 1), dtype=bool),
-                        gamma=1e-3)
-    assert solve_cell_schedule(prob).block.tolist() == [0, -1]
-
-
-def test_exact_tie_respects_the_matching():
+@pytest.mark.parametrize("feasible, expect", [
+    # two identical users compete for one block
+    ([[True], [True]], [0, -1]),
     # any two of three identical users tie; user 1 can only use block 1
-    feas = np.array([[True, True], [False, True], [True, True]])
-    prob = make_problem([100, 100, 100], [0.1, 0.1, 0.1], feas, gamma=1e-3)
-    assert solve_cell_schedule(prob).block.tolist() == [0, 1, -1]
-
-
-def test_user_takes_its_lowest_feasible_block():
-    prob = make_problem([100], [0.1], np.ones((1, 3), dtype=bool), gamma=1e-3)
-    assert solve_cell_schedule(prob).block.tolist() == [0]
+    ([[True, True], [False, True], [True, True]], [0, 1, -1]),
+    # one user, three blocks
+    ([[True, True, True]], [0]),
+])
+def test_exact_ties_take_the_lowest_users_then_blocks(feasible, expect):
+    n = len(feasible)
+    prob = make_problem([100] * n, [0.1] * n, feasible, gamma=1e-3)
+    assert solve_cell_schedule(prob).block.tolist() == expect
 
 
 def test_no_feasible_pair_schedules_nobody():
