@@ -10,13 +10,13 @@ each user's privacy loss.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from .config import load_config
 from .dp import leakage_report
-from .harness import ALGORITHMS, ExperimentSpec, allocate, emit_csv, run_experiment
+from .harness import (ALGORITHMS, ExperimentSpec, allocate, emit_csv, run_experiment,
+                      write_csv)
 from .radio import power_system, uplink_rate
 from .scheduler import objective_sum, objective_value
 from .topology import generate_topology
@@ -26,16 +26,8 @@ def dump_power_system(topo, alloc, config, out_dir: Path) -> list:
     """Write the A matrix and b vector of the power system as csv files."""
     A, b, sched = power_system(topo, alloc, config)
     paths = [out_dir / "power_system_A.csv", out_dir / "power_system_b.csv"]
-    with open(paths[0], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["user"] + [str(int(u)) for u in sched])
-        for j, u in enumerate(sched):
-            wr.writerow([str(int(u))] + [repr(float(x)) for x in A[j]])
-    with open(paths[1], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["user", "b"])
-        for j, u in enumerate(sched):
-            wr.writerow([str(int(u)), repr(float(b[j]))])
+    write_csv(paths[0], ["user", *sched], ([u, *row] for u, row in zip(sched, A)))
+    write_csv(paths[1], ["user", "b"], zip(sched, b))
     return paths
 
 
@@ -69,27 +61,18 @@ def cmd_schedule(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(out_dir / "allocation.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["user", "cell", "samples", "block", "power_w", "sigma",
-                     "rate_bit_s", "rho"])
-        rates = uplink_rate(alloc, topo, config)
-        rho = leakage_report(topo, alloc, config).rho
-        for u in range(topo.num_users):
-            wr.writerow([u, int(topo.assignment[u]), int(topo.samples[u]),
-                         int(alloc.block[u]), repr(float(alloc.powers[u])),
-                         repr(float(alloc.sigmas[u])), repr(float(rates[u])),
-                         repr(float(rho[u]))])
+    write_csv(out_dir / "allocation.csv",
+              ["user", "cell", "samples", "block", "power_w", "sigma", "rate_bit_s",
+               "rho"],
+              zip(range(topo.num_users), topo.assignment, topo.samples, alloc.block,
+                  alloc.powers, alloc.sigmas, uplink_rate(alloc, topo, config),
+                  leakage_report(topo, alloc, config).rho))
 
     mask = alloc.scheduled(topo)
     K = topo.samples.astype(float)
-    with open(out_dir / "cell_objectives.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["cell", "objective"])
-        for s, users in enumerate(topo.cell_users):
-            val = objective_sum(K[users], mask[users], alloc.sigmas[users],
-                                config.gamma)
-            wr.writerow([s, repr(val)])
+    write_csv(out_dir / "cell_objectives.csv", ["cell", "objective"],
+              ((s, objective_sum(K[users], mask[users], alloc.sigmas[users], config.gamma))
+               for s, users in enumerate(topo.cell_users)))
 
     if args.dump_system:
         dump_power_system(topo, alloc, config, out_dir)

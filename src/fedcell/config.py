@@ -108,12 +108,13 @@ class SystemConfig:
         return cfg
 
 
-# Config files carry these fields in radio units; everything else is taken as is.
+# Config files carry these fields in radio units (MHz, dBm/Hz, dBm, kbit/s,
+# as the README lists them); everything else is taken as is.
 _FILE_UNIT_SCALES = {
-    "center_freq": ("MHz", lambda v: v * 1e6),
-    "noise_psd": ("dBm/Hz", dbm_to_watts),
-    "p_max": ("dBm", dbm_to_watts),
-    "r_min": ("kbit/s", lambda v: v * 1e3),
+    "center_freq": lambda v: v * 1e6,
+    "noise_psd": dbm_to_watts,
+    "p_max": dbm_to_watts,
+    "r_min": lambda v: v * 1e3,
 }
 
 _FIELD_NAMES = {f.name for f in fields(SystemConfig)}
@@ -129,8 +130,7 @@ def config_from_mapping(raw: dict) -> SystemConfig:
     values = {}
     for key, val in raw.items():
         if key in _FILE_UNIT_SCALES and val is not None:
-            _, conv = _FILE_UNIT_SCALES[key]
-            val = conv(float(val))
+            val = _FILE_UNIT_SCALES[key](float(val))
         values[key] = val
     cfg = SystemConfig(**values)
     cfg.validate()

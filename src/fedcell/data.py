@@ -87,22 +87,24 @@ def load_idx_dataset(root: str | Path) -> Dataset:
                    ex, found["test_y"].astype(np.int64))
 
 
+_CLUSTERS_PER_CLASS = 3
+
+
 def synthetic_blobs(num_classes: int, num_features: int, train_n: int, test_n: int,
-                    seed: int, clusters_per_class: int = 3,
-                    center_scale: float = 1.0, spread: float = 1.0) -> Dataset:
+                    seed: int) -> Dataset:
     """Gaussian mixture classification data, rescaled into [0, 1].
 
-    Each class owns several cluster centres, so decision boundaries are
-    curved and extra training data keeps paying off.
+    Each class owns three unit-variance clusters around standard normal
+    centres, so decision boundaries are curved and extra training data keeps
+    paying off.
     """
-    rng = np.random.default_rng(seeding.subseed(seed, seeding.DATASET))
-    centers = rng.normal(0.0, center_scale,
-                         size=(num_classes, clusters_per_class, num_features))
+    rng = seeding.stream(seed, seeding.DATASET)
+    centers = rng.normal(0.0, 1.0, size=(num_classes, _CLUSTERS_PER_CLASS, num_features))
 
     def draw(n):
         y = rng.integers(0, num_classes, n)
-        cl = rng.integers(0, clusters_per_class, n)
-        x = centers[y, cl] + rng.normal(0.0, spread, size=(n, num_features))
+        cl = rng.integers(0, _CLUSTERS_PER_CLASS, n)
+        x = centers[y, cl] + rng.normal(0.0, 1.0, size=(n, num_features))
         return x, y.astype(np.int64)
 
     tx, ty = draw(train_n)
@@ -124,7 +126,7 @@ def load_dataset(config: SystemConfig) -> Dataset:
         if config.dataset_path is None:
             raise ValueError("dataset_path required when synthetic_data is off")
         full = load_idx_dataset(config.dataset_path)
-        rng = np.random.default_rng(seeding.subseed(config.seed, seeding.DATASET))
+        rng = seeding.stream(config.seed, seeding.DATASET)
         tsel = rng.permutation(full.train_x.shape[0])[:config.dataset_train_size]
         esel = rng.permutation(full.test_x.shape[0])[:config.dataset_test_size]
         ds = Dataset(full.train_x[tsel], full.train_y[tsel],
@@ -141,7 +143,6 @@ class Shard:
     """One user's local training slice."""
     x: np.ndarray
     y: np.ndarray
-    cell: int
     user: int
 
 
@@ -151,13 +152,12 @@ def build_shards(dataset: Dataset, topo: Topology, seed: int) -> list:
     total = int(topo.samples.sum())
     if total > dataset.train_x.shape[0]:
         raise ValueError("sample counts exceed the training set")
-    rng = np.random.default_rng(seeding.subseed(seed, seeding.SHARDS))
+    rng = seeding.stream(seed, seeding.SHARDS)
     perm = rng.permutation(dataset.train_x.shape[0])[:total]
     shards = []
     off = 0
     for u in range(topo.num_users):
         take = perm[off:off + int(topo.samples[u])]
         off += int(topo.samples[u])
-        shards.append(Shard(x=dataset.train_x[take], y=dataset.train_y[take],
-                            cell=int(topo.assignment[u]), user=u))
+        shards.append(Shard(x=dataset.train_x[take], y=dataset.train_y[take], user=u))
     return shards

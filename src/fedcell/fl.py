@@ -87,7 +87,6 @@ def noise_stream(seed: int, round_index: int) -> np.random.Generator:
 @dataclass
 class FlState:
     weights: np.ndarray
-    rounds_done: int
     test_loss: list = field(default_factory=list)
     test_accuracy: list = field(default_factory=list)
 
@@ -107,10 +106,10 @@ def train(topo: Topology, alloc: Allocation, dataset: Dataset,
     sigma = float(np.linalg.norm(K[mask] * alloc.sigmas[mask])) / total
 
     model = Mlp(dataset.input_dim, dataset.num_classes)
-    w = model.init_params(np.random.default_rng(seeding.subseed(seed, seeding.WEIGHTS)))
+    w = model.init_params(seeding.stream(seed, seeding.WEIGHTS))
     shards = build_shards(dataset, topo, seed)
 
-    state = FlState(weights=w, rounds_done=0)
+    state = FlState(weights=w)
     for t in range(config.rounds):
         cell_grads = []
         cell_weights = []
@@ -131,6 +130,5 @@ def train(topo: Topology, alloc: Allocation, dataset: Dataset,
         loss, acc = model.evaluate(w, dataset.test_x, dataset.test_y)
         state.test_loss.append(loss)
         state.test_accuracy.append(acc)
-        state.rounds_done = t + 1
     state.weights = w
     return state

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,11 @@ DOMAIN_ERRORS = (ScheduleInfeasibleError, InfeasibleNoiseError,
 CSV_NAMES = ("objective_cdf.csv", "accuracy.csv", "loss.csv",
              "leakage_cdf.csv", "bounds.csv")
 
+# bounds.csv columns, each a ReplicaRecord field of the same name
+BOUNDS_COLUMNS = ("algorithm", "replica", "seed", "objective",
+                  "normalized_objective", "scheduled_users", "scheduled_samples",
+                  "leakage_total", "c1", "c2", "c3", "converges", "c3_check")
+
 
 @dataclass
 class ExperimentSpec:
@@ -78,12 +84,12 @@ class ReplicaRecord:
     scheduled_users: int
     scheduled_samples: float
     leakage_total: float
-    leakage_users: list          # (user id, rho) for scheduled users
+    leakage_rho: list            # rho of each scheduled user, ascending user id
     c1: float
     c2: float
     c3: float
     converges: bool
-    c3_ok: bool
+    c3_check: bool
     accuracy: list | None = None
     loss: list | None = None
 
@@ -171,13 +177,12 @@ def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
                 scheduled_users=int(mask.sum()),
                 scheduled_samples=float(topo.samples[mask].sum()),
                 leakage_total=report.total,
-                leakage_users=[(int(u), float(report.rho[u]))
-                               for u in np.flatnonzero(mask)],
+                leakage_rho=report.rho[mask].tolist(),
                 c1=const.c1,
                 c2=const.c2,
                 c3=const.c3,
                 converges=const.converges,
-                c3_ok=c3_constraint_check(topo, alloc, config),
+                c3_check=c3_constraint_check(topo, alloc, config),
             )
             if do_train:
                 state = train(topo, alloc, dataset, config, seed)
@@ -232,6 +237,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the header and rows to `path`, every cell formatted by `_fmt`,
+    so the bytes of every csv depend on `_fmt` alone."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([_fmt(x) for x in row] for row in chain([header], rows))
+
+
 def emit_csv(table: MetricsTable, spec: ExperimentSpec, out_dir) -> list:
     """Write the five experiment csv files; returns their paths.
 
@@ -241,25 +253,15 @@ def emit_csv(table: MetricsTable, spec: ExperimentSpec, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in CSV_NAMES]
-
-    def write(path, header, rows):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(header)
-            for row in rows:
-                wr.writerow([_fmt(x) for x in row])
-
     cdf_rows = []
     leak_rows = []
     acc_rows = []
     loss_rows = []
-    bound_rows = []
     for alg in spec.algorithms:
         rows = table.rows_for(alg)
         vals, lev = empirical_cdf([r.normalized_objective for r in rows])
         cdf_rows += [(alg, v, l) for v, l in zip(vals, lev)]
-        pooled = [rho for r in rows for _, rho in r.leakage_users]
-        vals, lev = empirical_cdf(pooled)
+        vals, lev = empirical_cdf([rho for r in rows for rho in r.leakage_rho])
         leak_rows += [(alg, v, l) for v, l in zip(vals, lev)]
     for r in table.rows:
         if r.accuracy is not None:
@@ -268,17 +270,11 @@ def emit_csv(table: MetricsTable, spec: ExperimentSpec, out_dir) -> list:
         if r.loss is not None:
             loss_rows += [(r.algorithm, r.replica, t, x)
                           for t, x in enumerate(r.loss)]
-        bound_rows.append((r.algorithm, r.replica, r.seed, r.objective,
-                           r.normalized_objective, r.scheduled_users,
-                           r.scheduled_samples, r.leakage_total,
-                           r.c1, r.c2, r.c3, r.converges, r.c3_ok))
 
-    write(paths[0], ["algorithm", "normalized_objective", "cdf"], cdf_rows)
-    write(paths[1], ["algorithm", "replica", "round", "test_accuracy"], acc_rows)
-    write(paths[2], ["algorithm", "replica", "round", "test_loss"], loss_rows)
-    write(paths[3], ["algorithm", "rho", "cdf"], leak_rows)
-    write(paths[4], ["algorithm", "replica", "seed", "objective",
-                     "normalized_objective", "scheduled_users",
-                     "scheduled_samples", "leakage_total",
-                     "c1", "c2", "c3", "converges", "c3_check"], bound_rows)
+    write_csv(paths[0], ["algorithm", "normalized_objective", "cdf"], cdf_rows)
+    write_csv(paths[1], ["algorithm", "replica", "round", "test_accuracy"], acc_rows)
+    write_csv(paths[2], ["algorithm", "replica", "round", "test_loss"], loss_rows)
+    write_csv(paths[3], ["algorithm", "rho", "cdf"], leak_rows)
+    write_csv(paths[4], BOUNDS_COLUMNS,
+              ([getattr(r, c) for c in BOUNDS_COLUMNS] for r in table.rows))
     return paths

@@ -5,12 +5,12 @@ the same block, so required powers couple across cells.  Setting each
 scheduled user's SNR-gap equation to equality gives a linear system
 A p = b; powers solve min ||A p - b||_1 subject to 0 <= p <= p_max.  Users
 couple only through a shared block, so A is block diagonal by resource
-block, with one row per cell at most in each block.  Each block is solved
-directly; a solution inside the box is the exact zero-residual optimum (the
-Foschini-Miljanic fixed point, without the iteration).  The blocks whose
-solution leaves the box go through one linear program in scaled units,
-because powers of a few nW lie below the LP solver's absolute tolerance in
-watts.
+block, with one row per cell at most in each block.  The blocks are solved
+directly, one at a time; a solution inside the box is the exact
+zero-residual optimum (the Foschini-Miljanic fixed point, without the
+iteration).  Only a block that is singular or whose solution leaves the box
+goes through the one linear program, in scaled units, because powers of a
+few nW lie below the LP solver's absolute tolerance in watts.
 
 An allocation stores one block id per user (-1 when unscheduled), the
 vector that rates, the power system and the per-block solve index by.
@@ -119,11 +119,10 @@ def power_system(topo: Topology, alloc: Allocation, config: SystemConfig):
 def solve_powers(topo: Topology, alloc: Allocation, config: SystemConfig) -> np.ndarray:
     """Box-constrained L1 fit of the coupled power system, block by block.
 
-    Every resource block's rows of A p = b are solved directly, all blocks
-    in one batched call (each padded to the largest block with identity rows
-    and zero demand).  A block whose solution lies in [0, p_max] keeps it:
-    that is the zero-residual optimum.  The other blocks, or all of them when
-    a block is singular, go to one linear program over their rows,
+    Every resource block's rows of A p = b are solved directly, one block at
+    a time.  A block whose solution lies in [0, p_max] keeps it: that is the
+    zero-residual optimum.  Only the other blocks, those that are singular or
+    whose solution leaves the box, go to one linear program over their rows,
     min 1.t subject to -t <= A p - b <= t, 0 <= p <= p_max, solved in scaled
     units: p = p_max y, row j divided by b_j and its slack weighted by
     b_j / max b.  The objective is the watt-unit one divided by max b, so
@@ -133,26 +132,20 @@ def solve_powers(topo: Topology, alloc: Allocation, config: SystemConfig) -> np.
     """
     A, b, sched = power_system(topo, alloc, config)
     powers = np.zeros(topo.num_users)
-    if sched.size == 0:
-        return powers
-    _, group, size = np.unique(alloc.block[sched], return_inverse=True,
-                               return_counts=True)
-    same = group[:, None] == group[None, :]
-    slot = np.tril(same, -1).sum(axis=1)   # row j's position inside its block
-    j, k = np.nonzero(same)
-    stack = np.tile(np.eye(size.max()), (size.size, 1, 1))
-    stack[group[j], slot[j], slot[k]] = A[j, k]
-    rhs = np.zeros((size.size, size.max(), 1))
-    rhs[group, slot, 0] = b
-    try:
-        direct = np.linalg.solve(stack, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        direct = np.full(stack.shape[:2], np.nan)
-    # a NaN or infinite power fails both comparisons
-    inside = np.all((direct >= 0.0) & (direct <= config.p_max), axis=1)
-    kept = inside[group]
-    powers[sched[kept]] = direct[group[kept], slot[kept]]
-    rest = np.flatnonzero(~kept)
+    blocks = alloc.block[sched]
+    to_lp = np.zeros(sched.size, dtype=bool)
+    for n in np.unique(blocks):
+        rows = np.flatnonzero(blocks == n)
+        try:
+            direct = np.linalg.solve(A[np.ix_(rows, rows)], b[rows])
+        except np.linalg.LinAlgError:
+            direct = np.full(rows.size, np.nan)
+        # a NaN or infinite power fails both comparisons
+        if np.all((direct >= 0.0) & (direct <= config.p_max)):
+            powers[sched[rows]] = direct
+        else:
+            to_lp[rows] = True
+    rest = np.flatnonzero(to_lp)
     if rest.size:
         powers[sched[rest]] = config.p_max * _scaled_lp(A[np.ix_(rest, rest)], b[rest],
                                                         config.p_max)

@@ -54,12 +54,6 @@ class CellProblem:
         return 1e-9 * max(1.0, scale)
 
 
-@dataclass
-class ScheduleSolution:
-    block: np.ndarray            # (users,) block id in the cell, -1 when unscheduled
-    objective: float             # cell share of the global objective
-
-
 def build_cell_problem(topo: Topology, alloc: Allocation, cell: int,
                        config: SystemConfig) -> CellProblem:
     users = topo.cell_users[cell]
@@ -131,8 +125,9 @@ def _lex_min_blocks(users, rb_sets, match) -> dict:
     return held
 
 
-def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
-    """Exact minimiser of the cell subproblem.
+def solve_cell_schedule(problem: CellProblem) -> np.ndarray:
+    """Exact minimiser of the cell subproblem: (users,) block id of each
+    user in the cell, -1 when unscheduled.
 
     Users are explored in order of their net objective change
     cost_i = -K_i + gamma / (K_i sigma_i)^2, with three prunes: an additive
@@ -215,14 +210,13 @@ def solve_cell_schedule(problem: CellProblem) -> ScheduleSolution:
     block = np.full(U, -1)
     for i, nb in _lex_min_blocks(best_set, rb_sets, best_match).items():
         block[i] = nb
-    objective = objective_sum(K, block >= 0, problem.sigmas, problem.gamma)
-    return ScheduleSolution(block=block, objective=objective)
+    return block
 
 
 def _init_state(topo: Topology, config: SystemConfig, seed: int):
     """Shared random starting point: shuffled round-robin blocks, uniform
     powers, uniform sigma * K in [n_min, 6 n_min]."""
-    rng = np.random.default_rng(seeding.subseed(seed, seeding.INIT))
+    rng = seeding.stream(seed, seeding.INIT)
     alloc = empty_allocation(topo)
     for users in topo.cell_users:
         if users.size == 0:
@@ -270,9 +264,9 @@ def opt_sched(topo: Topology, config: SystemConfig, seed: int) -> Allocation:
             users = topo.cell_users[s]
             if users.size == 0:
                 continue
-            sol = solve_cell_schedule(build_cell_problem(topo, alloc, s, config))
-            alloc.block[users] = sol.block
-            alloc.powers[users] = np.where(sol.block >= 0, p_draw[users], 0.0)
+            block = solve_cell_schedule(build_cell_problem(topo, alloc, s, config))
+            alloc.block[users] = block
+            alloc.powers[users] = np.where(block >= 0, p_draw[users], 0.0)
     alloc.powers = solve_powers(topo, alloc, config)
     return enforce_rate(topo, alloc, config)
 

@@ -6,7 +6,7 @@ Streams therefore never depend on evaluation order.
 """
 from __future__ import annotations
 
-from numpy.random import Generator, PCG64, SeedSequence
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -21,10 +21,7 @@ NOISE = 22
 DATASET = 30
 
 
-def subseed(*parts: int) -> SeedSequence:
-    return SeedSequence([int(p) & _MASK64 for p in parts])
-
-
-def stream(*parts: int) -> Generator:
-    """Generator for the stream identified by (seed, tag, *indices)."""
-    return Generator(PCG64(subseed(*parts)))
+def stream(*parts: int) -> np.random.Generator:
+    """Generator for the stream identified by (seed, tag, *indices); the
+    parts, masked to 64 bits, are the entropy of one `SeedSequence`."""
+    return np.random.default_rng([int(p) & _MASK64 for p in parts])

@@ -76,18 +76,15 @@ def partition_samples(config: SystemConfig, num_users: int, seed: int) -> np.nda
     rounding, then a top-up so every user keeps at least one sample."""
     if config.total_samples < num_users:
         raise ValueError("not enough samples to give every user at least one")
-    rng = np.random.default_rng(seeding.subseed(seed, seeding.PARTITION))
+    rng = seeding.stream(seed, seeding.PARTITION)
     weights = rng.lognormal(config.lognormal_mu, config.lognormal_sigma, num_users)
     counts = _largest_remainder(weights, config.total_samples)
-    # top up empty users from the largest holders, one sample at a time
-    while True:
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
-            break
-        for u in empty:
-            donor = int(np.argmax(counts))
-            counts[donor] -= 1
-            counts[u] += 1
+    # top up empty users from the largest holders, one sample at a time; while
+    # any user holds 0 the largest holds at least 2, so one pass suffices
+    for u in np.flatnonzero(counts == 0):
+        donor = int(np.argmax(counts))
+        counts[donor] -= 1
+        counts[u] += 1
     return counts
 
 
@@ -97,14 +94,14 @@ def generate_topology(config: SystemConfig, seed: int) -> Topology:
     centers = hex_centers(config.num_cells, config.cell_radius)
     half = 2.5 * config.cell_radius
 
-    pos_rng = np.random.default_rng(seeding.subseed(seed, seeding.POSITIONS))
+    pos_rng = seeding.stream(seed, seeding.POSITIONS)
     positions = pos_rng.uniform(-half, half, size=(config.total_users, 2))
 
     raw = np.linalg.norm(centers[:, None, :] - positions[None, :, :], axis=2)
     assignment = np.argmin(raw, axis=0)
     distances = np.maximum(raw, config.min_distance)
 
-    fade_rng = np.random.default_rng(seeding.subseed(seed, seeding.FADING))
+    fade_rng = seeding.stream(seed, seeding.FADING)
     fading = fade_rng.rayleigh(scale=1.0, size=distances.shape)
     gains = channel_gains(distances, fading, config.center_freq)
 

@@ -19,8 +19,11 @@ def brute_force_cell(problem):
     """Exhaustive minimum of a cell scheduling subproblem.
 
     Enumerates every user subset of size <= num_rbs, every injective block
-    assignment for it, and the noise budget; returns (objective, user set)
-    or (None, None) when nothing is feasible.  Uses plain Python arithmetic.
+    assignment for it, and the noise budget; returns (objective, user set,
+    block vector) or (None, None, None) when nothing is feasible.  The block
+    vector holds each user's block, -1 when unscheduled; permutations come
+    in lexicographic order, so the first placeable one gives the set its
+    lowest blocks.  Uses plain Python arithmetic.
     """
     K = [float(k) for k in problem.samples]
     sig = [float(s) for s in problem.sigmas]
@@ -30,17 +33,16 @@ def brute_force_cell(problem):
     total_k = math.fsum(K)
     best = None
     best_set = None
+    best_blocks = None
     for size in range(0, R + 1):
         for subset in itertools.combinations(range(U), size):
             load = math.fsum(K[i] * (sig[i] ** 2 - problem.v_max) for i in subset)
             if load > slack + tol:
                 continue
-            placeable = False
-            for blocks in itertools.permutations(range(R), size):
-                if all(problem.feasible[i, b] for i, b in zip(subset, blocks)):
-                    placeable = True
-                    break
-            if not placeable:
+            placed = next((blocks for blocks in itertools.permutations(range(R), size)
+                           if all(problem.feasible[i, b] for i, b in zip(subset, blocks))),
+                          None)
+            if placed is None:
                 continue
             served = math.fsum(K[i] for i in subset)
             noise = math.fsum(1.0 / (K[i] * sig[i]) ** 2 for i in subset)
@@ -48,7 +50,10 @@ def brute_force_cell(problem):
             if best is None or obj < best or (obj == best and subset < best_set):
                 best = obj
                 best_set = subset
-    return best, best_set
+                best_blocks = [-1] * U
+                for i, b in zip(subset, placed):
+                    best_blocks[i] = b
+    return best, best_set, best_blocks
 
 
 def grid_noise_minimum(K, floors, budget, rounds=6, points=25):

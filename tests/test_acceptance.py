@@ -21,7 +21,7 @@ from fedcell.harness import (ALGORITHMS, CSV_NAMES, ExperimentSpec, emit_csv,
                              run_experiment)
 from fedcell.mlp import Mlp
 from fedcell.radio import empty_allocation
-from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError,
+from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError, objective_sum,
                                solve_cell_schedule)
 from fedcell.topology import generate_topology
 from fedcell import seeding
@@ -71,22 +71,27 @@ def test_cell_solver_matches_exhaustive_enumeration():
     t0 = time.perf_counter()
     worst = 0.0
     infeasible = 0
+    other_blocks = 0
     for _ in range(200):
         prob = random_cell_instance(rng)
-        expect, _ = brute_force_cell(prob)
+        expect, _, expect_block = brute_force_cell(prob)
         if expect is None:
             infeasible += 1
             with pytest.raises(ScheduleInfeasibleError):
                 solve_cell_schedule(prob)
             continue
-        got = solve_cell_schedule(prob).objective
+        block = solve_cell_schedule(prob)
+        got = objective_sum(prob.samples, block >= 0, prob.sigmas, prob.gamma)
         worst = max(worst, abs(got - expect) / max(abs(expect), 1e-300))
+        other_blocks += block.tolist() != expect_block
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and elapsed < 10.0
+    ok = worst <= 1e-12 and other_blocks == 0 and elapsed < 10.0
     verdict("cell solver matches exhaustive enumeration", ok,
             f"200 instances, {infeasible} infeasible, "
-            f"max rel err {worst:.2e}, {elapsed:.1f} s")
+            f"max rel err {worst:.2e}, {other_blocks} other block vectors, "
+            f"{elapsed:.1f} s")
     assert worst <= 1e-12
+    assert other_blocks == 0
     assert elapsed < 10.0
 
 
@@ -137,8 +142,7 @@ def test_training_accuracy_gap(desk_run):
 
 def test_leakage_reduction(desk_run):
     table, _ = desk_run
-    pooled = {alg: np.array([rho for r in table.rows_for(alg)
-                             for _, rho in r.leakage_users])
+    pooled = {alg: np.array([rho for r in table.rows_for(alg) for rho in r.leakage_rho])
               for alg in ("rnd", "opt+dp")}
     max_rnd = float(pooled["rnd"].max())
     max_dp = float(pooled["opt+dp"].max())
@@ -237,8 +241,7 @@ def test_noiseless_single_cell_equals_batch_descent():
     alloc.sigmas = np.zeros(6)
 
     model = Mlp(ds.input_dim, ds.num_classes)
-    w0 = model.init_params(
-        np.random.default_rng(seeding.subseed(0, seeding.WEIGHTS)))
+    w0 = model.init_params(seeding.stream(0, seeding.WEIGHTS))
     shards = build_shards(ds, topo, 0)
     union_x = np.concatenate([s.x for s in shards])
     union_y = np.concatenate([s.y for s in shards])

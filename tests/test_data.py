@@ -125,7 +125,6 @@ def test_build_shards_cover_and_sizes():
     assert sum(s.x.shape[0] for s in shards) == 240
     for u, s in enumerate(shards):
         assert s.user == u
-        assert s.cell == int(topo.assignment[u])
         assert s.x.shape[0] == int(topo.samples[u])
         assert s.x.shape[1] == 8
     # deterministic

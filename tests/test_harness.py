@@ -30,7 +30,7 @@ def test_run_replica_produces_one_record_per_algorithm():
     for r in records:
         assert r.replica == 4 and r.seed == 11
         assert r.scheduled_users > 0
-        assert len(r.leakage_users) == r.scheduled_users
+        assert len(r.leakage_rho) == r.scheduled_users
         assert r.normalized_objective * 7200 == pytest.approx(r.objective)
         assert r.accuracy is None and r.loss is None
 
@@ -48,7 +48,7 @@ def test_run_replica_dp_shares_the_opt_schedule(monkeypatch):
     records, _ = run_replica(cfg, ("opt", "opt+dp"), 0, 3, False)
     opt, dp = records
     assert opt.scheduled_users == dp.scheduled_users
-    assert [u for u, _ in opt.leakage_users] == [u for u, _ in dp.leakage_users]
+    assert opt.scheduled_samples == dp.scheduled_samples
     assert dp.leakage_total <= opt.leakage_total
     assert dp.objective <= opt.objective + 1e-9
     # opt+dp reuses the replica's opt schedule, and builds one without it
@@ -132,9 +132,9 @@ def test_paired_skips_replicas_missing_on_either_side():
         return ReplicaRecord(algorithm=alg, replica=rep, seed=rep,
                              objective=obj, normalized_objective=obj,
                              scheduled_users=1, scheduled_samples=1.0,
-                             leakage_total=0.0, leakage_users=[],
+                             leakage_total=0.0, leakage_rho=[],
                              c1=0.0, c2=0.0, c3=0.0, converges=True,
-                             c3_ok=True)
+                             c3_check=True)
     table = MetricsTable(rows=[rec("rnd", 0, 5.0), rec("rnd", 1, 6.0),
                                rec("rnd", 2, 7.0), rec("opt", 0, 4.0),
                                rec("opt", 2, 3.0)])
@@ -232,7 +232,7 @@ def test_sweep_keeps_opt_and_dp_orderings():
                                   seed_base=seed_base)
             table = run_experiment(spec)
             assert table.errors == []
-            assert all(r.c3_ok for r in table.rows)
+            assert all(r.c3_check for r in table.rows)
             rnd, opt = table.paired("objective", "rnd", "opt")
             _, dp = table.paired("objective", "opt", "opt+dp")
             assert rnd.size == dp.size == 50

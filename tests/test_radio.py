@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+import fedcell.radio
 from fedcell.config import SystemConfig, load_config
 from fedcell.radio import (empty_allocation, enforce_rate, interference,
                            power_system, snr_gap, solve_powers, uplink_rate)
@@ -259,6 +260,43 @@ def test_solve_powers_sends_every_block_to_the_lp_when_a_solve_fails(monkeypatch
     p = solve_powers(topo, alloc, cfg)
     # the scaled program meets each row to about 1e-7 of its b_j
     assert p[sched] == pytest.approx(direct, rel=1e-6, abs=0.0)
+
+
+def test_solve_powers_sends_only_a_failing_block_to_the_lp(monkeypatch):
+    cfg, topo = two_cell_topology(seed=10, users=16)
+    alloc = schedule_everyone_round_robin(topo, cfg)
+    A, b, sched = power_system(topo, alloc, cfg)
+    blocks = alloc.block[sched]
+    rows_of = [np.flatnonzero(blocks == n) for n in np.unique(blocks)]
+    exact = [np.linalg.solve(A[np.ix_(rows, rows)], b[rows]) for rows in rows_of]
+    assert len(rows_of) > 1, "the draw needs a second block"
+    failing = max(range(len(rows_of)), key=lambda i: rows_of[i].size)
+    assert rows_of[failing].size > 1, "the failing block needs co-channel users"
+    real = np.linalg.solve
+
+    def singular_for_the_failing_block(a, rhs):
+        # a call that asks for the failing block's demands fails
+        if np.isin(b[rows_of[failing]], rhs).all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, rhs)
+
+    lp_demands = []
+    real_lp = fedcell.radio._scaled_lp
+
+    def recorded_lp(a, demand, p_max):
+        lp_demands.append(demand)
+        return real_lp(a, demand, p_max)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_for_the_failing_block)
+    monkeypatch.setattr(fedcell.radio, "_scaled_lp", recorded_lp)
+    p = solve_powers(topo, alloc, cfg)
+    # one program, over the failing block's rows only
+    assert len(lp_demands) == 1
+    assert np.array_equal(lp_demands[0], b[rows_of[failing]])
+    for i, (rows, direct) in enumerate(zip(rows_of, exact)):
+        # the scaled program meets each row to about 1e-7 of its b_j
+        rel = 1e-6 if i == failing else 1e-12
+        assert p[sched[rows]] == pytest.approx(direct, rel=rel, abs=0.0), f"block {i}"
 
 
 def test_solve_powers_empty_schedule():

@@ -12,8 +12,8 @@ from oracles import brute_force_cell
 import fedcell.scheduler
 from fedcell.config import SystemConfig, load_config
 from fedcell.scheduler import (CellProblem, ScheduleInfeasibleError, _init_state,
-                               build_cell_problem, objective_value, opt_sched, rnd_sched,
-                               solve_cell_schedule)
+                               build_cell_problem, objective_sum, objective_value,
+                               opt_sched, rnd_sched, solve_cell_schedule)
 from fedcell.topology import generate_topology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,16 +36,21 @@ def make_problem(samples, sigmas, feasible, *, gamma=1.0, v_max=12.0,
         gamma=gamma, v_max=v_max)
 
 
-def solution_set(sol):
-    return tuple(np.flatnonzero(sol.block >= 0))
+def solution_set(block):
+    return tuple(np.flatnonzero(block >= 0))
+
+
+def score(prob, block):
+    """The cell's share of the objective when its users hold `block`."""
+    return objective_sum(prob.samples, block >= 0, prob.sigmas, prob.gamma)
 
 
 def test_prefers_sample_rich_users():
     # 3 users, 2 blocks, fully feasible: the two largest holders win
     prob = make_problem([100, 10, 50], [0.1, 0.1, 0.1],
                         np.ones((3, 2), dtype=bool), gamma=1e-3)
-    sol = solve_cell_schedule(prob)
-    assert solution_set(sol) == (0, 2)
+    block = solve_cell_schedule(prob)
+    assert solution_set(block) == (0, 2)
 
 
 def test_noise_weight_can_flip_the_choice():
@@ -53,8 +58,8 @@ def test_noise_weight_can_flip_the_choice():
     prob = make_problem([100, 90], [0.001, 10.0], np.ones((2, 1), dtype=bool),
                         gamma=1e4, v_max=200.0)
     # cost(0) = -100 + 1e4 / (0.1)^2 = big positive; cost(1) = -90 + tiny
-    sol = solve_cell_schedule(prob)
-    assert solution_set(sol) == (1,)
+    block = solve_cell_schedule(prob)
+    assert solution_set(block) == (1,)
 
 
 def test_budget_excludes_noisy_user():
@@ -62,18 +67,18 @@ def test_budget_excludes_noisy_user():
     prob = make_problem([100, 50], [10.0, 0.5], np.ones((2, 2), dtype=bool),
                         gamma=1e-6, v_max=1.0)
     # scheduling user 0 alone costs 100*(100-1) of budget > slack 0
-    sol = solve_cell_schedule(prob)
-    assert 0 not in solution_set(sol)
-    assert 1 in solution_set(sol)
+    block = solve_cell_schedule(prob)
+    assert 0 not in solution_set(block)
+    assert 1 in solution_set(block)
 
 
 def test_matching_limits_to_distinct_blocks():
     feas = np.array([[True, False], [True, False], [False, True]])
     prob = make_problem([100, 99, 1], [0.1, 0.1, 0.1], feas, gamma=1e-4)
-    sol = solve_cell_schedule(prob)
+    block = solve_cell_schedule(prob)
     # users 0 and 1 compete for block 0; only one fits plus user 2 on block 1
-    assert solution_set(sol) == (0, 2)
-    rb_of = {i: int(sol.block[i]) for i in solution_set(sol)}
+    assert solution_set(block) == (0, 2)
+    rb_of = {i: int(block[i]) for i in solution_set(block)}
     assert rb_of == {0: 0, 2: 1}
 
 
@@ -88,14 +93,14 @@ def test_matching_limits_to_distinct_blocks():
 def test_exact_ties_take_the_lowest_users_then_blocks(feasible, expect):
     n = len(feasible)
     prob = make_problem([100] * n, [0.1] * n, feasible, gamma=1e-3)
-    assert solve_cell_schedule(prob).block.tolist() == expect
+    assert solve_cell_schedule(prob).tolist() == expect
 
 
 def test_no_feasible_pair_schedules_nobody():
     prob = make_problem([10, 20], [1.0, 1.0], np.zeros((2, 2), dtype=bool))
-    sol = solve_cell_schedule(prob)
-    assert solution_set(sol) == ()
-    assert sol.objective == pytest.approx(30.0)
+    block = solve_cell_schedule(prob)
+    assert solution_set(block) == ()
+    assert score(prob, block) == pytest.approx(30.0)
 
 
 def test_infeasible_budget_raises():
@@ -133,20 +138,20 @@ def test_matches_enumeration_spot_checks():
     rng = np.random.default_rng(2024)
     for _ in range(40):
         prob = rand_problem(rng)
-        expect, expect_set = brute_force_cell(prob)
+        expect, _, expect_block = brute_force_cell(prob)
         if expect is None:
             with pytest.raises(ScheduleInfeasibleError):
                 solve_cell_schedule(prob)
             continue
-        sol = solve_cell_schedule(prob)
-        assert sol.objective == pytest.approx(expect, rel=1e-12)
-        assert solution_set(sol) == expect_set
+        block = solve_cell_schedule(prob)
+        assert score(prob, block) == pytest.approx(expect, rel=1e-12)
+        assert block.tolist() == expect_block
 
 
 def test_matches_enumeration_on_sweep_problems(monkeypatch):
     """The cell problems of opt's sweep on full_scale_r5 seeds 0-2 with at
-    most 14 power-feasible users: same value and same user set as
-    exhaustive enumeration."""
+    most 14 power-feasible users: same value and same block for every user
+    as exhaustive enumeration."""
     seen = []
 
     def record(problem):
@@ -160,10 +165,10 @@ def test_matches_enumeration_on_sweep_problems(monkeypatch):
     small = [p for p in seen if p.feasible.any(axis=1).sum() <= 14]
     assert len(small) == 11
     for prob in small:
-        expect, expect_set = brute_force_cell(prob)
-        sol = solve_cell_schedule(prob)
-        assert sol.objective == pytest.approx(expect, rel=1e-12)
-        assert solution_set(sol) == expect_set
+        expect, _, expect_block = brute_force_cell(prob)
+        block = solve_cell_schedule(prob)
+        assert score(prob, block) == pytest.approx(expect, rel=1e-12)
+        assert block.tolist() == expect_block
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,10 +178,10 @@ def test_solution_beats_single_swaps(seed):
     rng = np.random.default_rng(seed)
     prob = rand_problem(rng)
     try:
-        sol = solve_cell_schedule(prob)
+        block = solve_cell_schedule(prob)
     except ScheduleInfeasibleError:
         return
-    chosen = set(solution_set(sol))
+    chosen = set(solution_set(block))
     slack = prob.v_max * prob.foreign_samples - prob.foreign_noise
     g = prob.samples * (prob.sigmas ** 2 - prob.v_max)
     w = 1.0 / (prob.samples * prob.sigmas) ** 2
