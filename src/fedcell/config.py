@@ -25,7 +25,8 @@ def dbm_to_watts(dbm: float) -> float:
 @dataclass
 class SystemConfig:
     """Defaults are the full-scale 5-block profile; the shipped profiles are
-    the yaml files under configs/."""
+    the yaml files under configs/.  Training uses `total_samples` examples,
+    synthetic unless `dataset_path` names a directory of idx files."""
 
     # layout / radio
     num_cells: int = 7
@@ -55,11 +56,8 @@ class SystemConfig:
 
     # data
     total_samples: int = 60000
-    lognormal_mu: float = 0.0            # log-space mean of the sample split
     lognormal_sigma: float = 1.0         # log-space std of the sample split
-    synthetic_data: bool = True
-    dataset_path: str | None = None      # directory of idx files, used when synthetic_data is off
-    dataset_train_size: int = 6000
+    dataset_path: str | None = None      # directory of idx files; None draws synthetic data
     dataset_test_size: int = 1000
     synthetic_features: int = 64
     synthetic_classes: int = 10
@@ -95,8 +93,7 @@ class SystemConfig:
             problems.append("total_samples must be >= total_users so every user holds data")
         if self.lognormal_sigma < 0.0:
             problems.append("lognormal_sigma must be >= 0")
-        for name in ("dataset_train_size", "dataset_test_size",
-                     "synthetic_features", "synthetic_classes"):
+        for name in ("dataset_test_size", "synthetic_features", "synthetic_classes"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
         if problems:

@@ -117,25 +117,23 @@ def synthetic_blobs(num_classes: int, num_features: int, train_n: int, test_n: i
 
 
 def load_dataset(config: SystemConfig) -> Dataset:
-    """Dataset for training, sized per config and fixed by the config seed."""
-    if config.synthetic_data:
-        ds = synthetic_blobs(config.synthetic_classes, config.synthetic_features,
-                             config.dataset_train_size, config.dataset_test_size,
-                             config.seed)
-    else:
-        if config.dataset_path is None:
-            raise ValueError("dataset_path required when synthetic_data is off")
-        full = load_idx_dataset(config.dataset_path)
-        rng = seeding.stream(config.seed, seeding.DATASET)
-        tsel = rng.permutation(full.train_x.shape[0])[:config.dataset_train_size]
-        esel = rng.permutation(full.test_x.shape[0])[:config.dataset_test_size]
-        ds = Dataset(full.train_x[tsel], full.train_y[tsel],
-                     full.test_x[esel], full.test_y[esel])
-    if ds.train_x.shape[0] < config.total_samples:
+    """`total_samples` training and `dataset_test_size` test examples, fixed
+    by the config seed: synthetic blobs when `dataset_path` is None, else a
+    seeded selection of the idx files in that directory."""
+    if config.dataset_path is None:
+        return synthetic_blobs(config.synthetic_classes, config.synthetic_features,
+                               config.total_samples, config.dataset_test_size,
+                               config.seed)
+    full = load_idx_dataset(config.dataset_path)
+    if full.train_x.shape[0] < config.total_samples:
         raise ValueError(
-            f"dataset holds {ds.train_x.shape[0]} training samples, "
+            f"dataset holds {full.train_x.shape[0]} training samples, "
             f"config assigns {config.total_samples}")
-    return ds
+    rng = seeding.stream(config.seed, seeding.DATASET)
+    tsel = rng.permutation(full.train_x.shape[0])[:config.total_samples]
+    esel = rng.permutation(full.test_x.shape[0])[:config.dataset_test_size]
+    return Dataset(full.train_x[tsel], full.train_y[tsel],
+                   full.test_x[esel], full.test_y[esel])
 
 
 @dataclass

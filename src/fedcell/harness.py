@@ -115,9 +115,8 @@ _DATASET_CACHE = {}
 
 
 def _dataset_for(config: SystemConfig):
-    key = (config.synthetic_data, config.dataset_path, config.dataset_train_size,
-           config.dataset_test_size, config.synthetic_features,
-           config.synthetic_classes, config.seed)
+    key = (config.dataset_path, config.total_samples, config.dataset_test_size,
+           config.synthetic_features, config.synthetic_classes, config.seed)
     if key not in _DATASET_CACHE:
         _DATASET_CACHE[key] = load_dataset(config)
     return _DATASET_CACHE[key]
@@ -199,8 +198,10 @@ def _replica_task(args):
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricsTable:
-    for alg in spec.algorithms:
+    for i, alg in enumerate(spec.algorithms):
         _builder(alg)
+        if alg in spec.algorithms[:i]:
+            raise ValueError(f"algorithm {alg!r} is requested twice")
     base = spec.base_seed()
     tasks = [(spec.config, tuple(spec.algorithms), r, base + r, spec.train)
              for r in range(spec.replicas)]

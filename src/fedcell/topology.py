@@ -73,11 +73,12 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 def partition_samples(config: SystemConfig, num_users: int, seed: int) -> np.ndarray:
     """Split the sample budget across users: lognormal weights, largest-remainder
-    rounding, then a top-up so every user keeps at least one sample."""
+    rounding, then a top-up so every user keeps at least one sample.  Only the
+    log-space spread matters: a log-space mean scales every weight alike."""
     if config.total_samples < num_users:
         raise ValueError("not enough samples to give every user at least one")
     rng = seeding.stream(seed, seeding.PARTITION)
-    weights = rng.lognormal(config.lognormal_mu, config.lognormal_sigma, num_users)
+    weights = rng.lognormal(0.0, config.lognormal_sigma, num_users)
     counts = _largest_remainder(weights, config.total_samples)
     # top up empty users from the largest holders, one sample at a time; while
     # any user holds 0 the largest holds at least 2, so one pass suffices

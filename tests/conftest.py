@@ -1,14 +1,15 @@
-"""Shared pytest wiring: replay acceptance verdicts after the run."""
+"""Shared pytest wiring: replay summary lines after the run."""
 
-VERDICTS = []
+# section title -> lines, printed in the order first recorded
+SUMMARY = {}
 
 
-def record_verdict(line: str) -> None:
-    VERDICTS.append(line)
+def record(section: str, line: str) -> None:
+    SUMMARY.setdefault(section, []).append(line)
 
 
 def pytest_terminal_summary(terminalreporter):
-    if VERDICTS:
-        terminalreporter.section("acceptance verdicts")
-        for line in VERDICTS:
+    for section, lines in SUMMARY.items():
+        terminalreporter.section(section)
+        for line in lines:
             terminalreporter.write_line(line)

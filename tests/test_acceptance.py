@@ -34,7 +34,7 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
     if detail:
         line += f"  ({detail})"
     print(line, flush=True)
-    conftest.record_verdict(line)
+    conftest.record("acceptance verdicts", line)
 
 
 @pytest.fixture(scope="module")
@@ -126,15 +126,22 @@ def test_schedule_objective_dominance_across_replicas():
 def test_training_accuracy_gap(desk_run):
     table, elapsed = desk_run
     finals = {alg: {r.replica: r.accuracy[-1] for r in table.rows_for(alg)}
-              for alg in ("rnd", "opt")}
+              for alg in ALGORITHMS}
     common = sorted(set(finals["rnd"]) & set(finals["opt"]))
     mean_rnd = float(np.mean([finals["rnd"][k] for k in common]))
     mean_opt = float(np.mean([finals["opt"][k] for k in common]))
     gap = mean_opt - mean_rnd
+    # the spread of the paired gaps, and what the noise of opt+dp costs
+    gaps = np.array([finals["opt"][k] - finals["rnd"][k] for k in common])
+    stderr = float(gaps.std(ddof=1) / np.sqrt(gaps.size))
+    mean_dp = float(np.mean(list(finals["opt+dp"].values())))
     ok = len(common) >= 10 and gap >= 0.03 and elapsed < 3600.0
     verdict("optimised schedule lifts test accuracy", ok,
             f"{len(common)} replicas, rnd {mean_rnd:.3f}, opt {mean_opt:.3f}, "
-            f"gap {gap * 100:+.1f} pts, {elapsed / 60:.1f} min")
+            f"gap {gap * 100:+.1f} pts (paired se {stderr * 100:.2f}, "
+            f"per replica {gaps.min() * 100:+.1f} to {gaps.max() * 100:+.1f}, "
+            f"opt ahead on {int(np.sum(gaps > 0))}), opt+dp {mean_dp:.3f}, "
+            f"{elapsed / 60:.1f} min")
     assert len(common) >= 10
     assert gap >= 0.03
     assert elapsed < 3600.0
@@ -231,8 +238,7 @@ def test_gradients_match_finite_differences():
 
 def test_noiseless_single_cell_equals_batch_descent():
     cfg = SystemConfig().replace(num_cells=1, total_users=6, total_samples=120,
-                                 num_rbs=6, rounds=50, clip=1e6,
-                                 dataset_train_size=150, dataset_test_size=30,
+                                 num_rbs=6, rounds=50, clip=1e6, dataset_test_size=30,
                                  synthetic_features=8, synthetic_classes=3)
     topo = generate_topology(cfg, 0)
     ds = load_dataset(cfg)
@@ -276,8 +282,7 @@ def test_leakage_closed_form_and_scaling():
 def test_csv_outputs_reproduce_byte_for_byte(tmp_path):
     cfg = SystemConfig().replace(total_users=12, total_samples=7200, num_rbs=3,
                                  synthetic_features=8, synthetic_classes=3,
-                                 dataset_train_size=7200, dataset_test_size=60,
-                                 rounds=3)
+                                 dataset_test_size=60, rounds=3)
     outs = []
     for tag, jobs in (("first", 1), ("second", 1), ("pool", 2)):
         spec = ExperimentSpec(config=cfg, algorithms=ALGORITHMS, replicas=3,

@@ -28,7 +28,6 @@ r_min: 100
 rounds: 3
 synthetic_features: 8
 synthetic_classes: 3
-dataset_train_size: 7200
 dataset_test_size: 60
 """
 

@@ -1,4 +1,5 @@
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from fedcell.config import (ConfigError, SystemConfig, config_from_mapping,
                             dbm_to_watts, load_config)
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def test_dbm_conversions_known_values():
@@ -50,7 +52,6 @@ def test_desk_profile_rescales_noise_constants():
     desk, full = asdict(cfg), asdict(SystemConfig())
     assert {k for k in desk if desk[k] != full[k]} == {"total_samples", "n_min", "gamma"}
     assert cfg.total_samples == 6000
-    assert cfg.dataset_train_size == 6000
     assert cfg.n_min == 3.0
     assert cfg.gamma == 100.0
     assert cfg.num_rbs == 5
@@ -111,3 +112,11 @@ def test_replace_validates():
 def test_non_mapping_config_rejected():
     with pytest.raises(ConfigError):
         config_from_mapping([1, 2, 3])
+
+
+def test_readme_names_every_config_field():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    # backticked snake_case words; file names hold a dot and do not match
+    named = set(re.findall(r"`([a-z][a-z0-9]*(?:_[a-z0-9]+)*)`", section))
+    assert named == {f.name for f in fields(SystemConfig)}

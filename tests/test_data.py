@@ -84,39 +84,39 @@ def test_synthetic_blobs_properties():
 
 def test_load_dataset_synthetic_by_default():
     cfg = SystemConfig().replace(total_users=10, total_samples=200,
-                                 dataset_train_size=200, dataset_test_size=50,
+                                 dataset_test_size=50,
                                  synthetic_features=16, synthetic_classes=4)
     ds = load_dataset(cfg)
     assert ds.train_x.shape == (200, 16)
     assert ds.test_x.shape == (50, 16)
 
 
-def test_load_dataset_rejects_short_supply():
-    cfg = SystemConfig().replace(total_users=10, total_samples=300,
-                                 dataset_train_size=200)
-    with pytest.raises(ValueError, match="assigns"):
+def test_load_dataset_rejects_short_supply(tmp_path):
+    write_idx_dataset(tmp_path, train_n=80)
+    cfg = SystemConfig().replace(total_users=10, total_samples=100,
+                                 dataset_path=str(tmp_path))
+    with pytest.raises(ValueError, match="holds 80 training samples, config assigns 100"):
         load_dataset(cfg)
 
 
 def test_load_dataset_idx_path(tmp_path):
     write_idx_dataset(tmp_path, train_n=80, test_n=30)
-    cfg = SystemConfig().replace(total_users=5, total_samples=40, synthetic_data=False,
-                                 dataset_path=str(tmp_path), dataset_train_size=60,
-                                 dataset_test_size=20)
+    cfg = SystemConfig().replace(total_users=5, total_samples=40,
+                                 dataset_path=str(tmp_path), dataset_test_size=20)
     ds = load_dataset(cfg)
-    assert ds.train_x.shape == (60, 36)
+    assert ds.train_x.shape == (40, 36)
     assert ds.test_x.shape == (20, 36)
 
 
-def test_load_dataset_idx_requires_path():
-    cfg = SystemConfig().replace(synthetic_data=False)
-    with pytest.raises(ValueError, match="dataset_path"):
+def test_load_dataset_idx_requires_files(tmp_path):
+    cfg = SystemConfig().replace(dataset_path=str(tmp_path))
+    with pytest.raises(FileNotFoundError, match="missing idx file"):
         load_dataset(cfg)
 
 
 def test_build_shards_cover_and_sizes():
     cfg = SystemConfig().replace(num_cells=1, total_users=12, total_samples=240,
-                                 dataset_train_size=300, dataset_test_size=40,
+                                 dataset_test_size=40,
                                  synthetic_features=8, synthetic_classes=3)
     topo = generate_topology(cfg, 2)
     ds = load_dataset(cfg)
@@ -136,7 +136,7 @@ def test_build_shards_cover_and_sizes():
 
 def test_build_shards_rejects_overdraw():
     cfg = SystemConfig().replace(num_cells=1, total_users=4, total_samples=100,
-                                 dataset_train_size=100, dataset_test_size=10,
+                                 dataset_test_size=10,
                                  synthetic_features=4, synthetic_classes=2)
     topo = generate_topology(cfg, 0)
     ds = load_dataset(cfg)

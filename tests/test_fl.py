@@ -109,7 +109,7 @@ def everyone_scheduled(cfg, topo, sigma=0.0):
 
 def tiny_training_config(**over):
     base = dict(num_cells=1, total_users=6, total_samples=120, num_rbs=6,
-                rounds=5, clip=1e6, dataset_train_size=150, dataset_test_size=30,
+                rounds=5, clip=1e6, dataset_test_size=30,
                 synthetic_features=8, synthetic_classes=3)
     base.update(over)
     return SystemConfig().replace(**base)
@@ -136,7 +136,7 @@ def three_cell_setup(sigmas=None, **over):
     """Seven-cell desk topology with up to num_rbs users of cells 0-2
     scheduled and cells 3-6 left empty; returns the scheduled users per cell."""
     cfg = tiny_training_config(num_cells=7, total_users=28, total_samples=560,
-                               num_rbs=4, dataset_train_size=600, **over)
+                               num_rbs=4, **over)
     topo = generate_topology(cfg, 6)
     ds = load_dataset(cfg)
     alloc = empty_allocation(topo)

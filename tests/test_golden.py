@@ -14,6 +14,9 @@ copies under tests/golden/<case>/ at stated tolerances:
   little, so this band absorbs another BLAS build while any change to the
   schedule, the noise or the update moves the numbers well outside it.
 
+Each case prints, on a pass as well, the largest relative difference it
+met at each tolerance, so a run shows how far it is from the snapshot.
+
 A change that is meant to move these numbers regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 from fedcell.config import load_config
 from fedcell.harness import CSV_NAMES, ExperimentSpec, emit_csv, run_experiment
 
@@ -71,8 +75,16 @@ def read_table(path: Path):
     return rows[0], rows[1:]
 
 
-def compare_file(name: str, golden: Path, got: Path, test_size: int) -> list:
+def rel_diff(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def compare_file(name: str, golden: Path, got: Path, test_size: int,
+                 worst: dict) -> list:
     """Mismatches between two copies of one csv file, as readable lines.
+    `worst` maps each relative tolerance to the largest relative difference
+    met in a column held to it, and is raised in place.
 
     Accuracies are compared as counts of correct test examples, so that a
     one-example difference is not lost to rounding in the decimal fraction.
@@ -97,7 +109,9 @@ def compare_file(name: str, golden: Path, got: Path, test_size: int) -> list:
             if key in exact:
                 ok = gv == hv
             elif key in close:
-                ok = math.isclose(float(gv), float(hv), rel_tol=close[key])
+                tol = close[key]
+                ok = math.isclose(float(gv), float(hv), rel_tol=tol)
+                worst[tol] = max(worst[tol], rel_diff(float(gv), float(hv)))
             elif key == "test_accuracy":
                 ok = abs(round(float(gv) * test_size) - round(float(hv) * test_size)) <= 1
             else:
@@ -107,18 +121,24 @@ def compare_file(name: str, golden: Path, got: Path, test_size: int) -> list:
     return problems
 
 
-def compare_case(golden_dir: Path, got_dir: Path, spec: ExperimentSpec) -> list:
+def compare_case(golden_dir: Path, got_dir: Path, spec: ExperimentSpec):
+    """(mismatches, largest relative difference per tolerance) over the
+    five csv files of one case."""
     test_size = spec.config.dataset_test_size
     problems = []
+    worst = {REL: 0.0, LOSS_REL: 0.0}
     for name in CSV_NAMES:
-        problems += compare_file(name, golden_dir / name, got_dir / name, test_size)
-    return problems
+        problems += compare_file(name, golden_dir / name, got_dir / name, test_size,
+                                 worst)
+    return problems, worst
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_snapshot(case, tmp_path):
     spec = produce(case, tmp_path)
-    problems = compare_case(GOLDEN / case, tmp_path, spec)
+    problems, worst = compare_case(GOLDEN / case, tmp_path, spec)
+    conftest.record("golden snapshot distance", f"{case}: " + ", ".join(
+        f"max rel diff {diff:.2e} (tol {tol:g})" for tol, diff in worst.items()))
     assert not problems, "\n".join(problems[:20])
 
 
@@ -132,8 +152,10 @@ def test_comparer_rejects_a_nudged_objective(tmp_path):
     with open(tmp_path / "bounds.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([head] + rows)
     spec = case_spec(case)
-    assert compare_case(GOLDEN / case, GOLDEN / case, spec) == []
-    problems = compare_case(GOLDEN / case, tmp_path, spec)
+    same = compare_case(GOLDEN / case, GOLDEN / case, spec)
+    assert same == ([], {REL: 0.0, LOSS_REL: 0.0})
+    problems, worst = compare_case(GOLDEN / case, tmp_path, spec)
+    assert worst[REL] == pytest.approx(1e-6 / (1.0 + 1e-6))
     assert len(problems) == 1
     assert problems[0].startswith("bounds.csv:5 objective:")
 
@@ -150,7 +172,7 @@ def test_comparer_allows_one_test_example_of_accuracy(examples, accepted, tmp_pa
     rows[2][col] = repr((round(float(rows[2][col]) * n) + examples) / n)
     with open(tmp_path / "accuracy.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([head] + rows)
-    problems = compare_case(GOLDEN / case, tmp_path, spec)
+    problems, _ = compare_case(GOLDEN / case, tmp_path, spec)
     if accepted:
         assert problems == []
     else:

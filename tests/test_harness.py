@@ -17,7 +17,7 @@ from fedcell.topology import generate_topology
 def small_config(**overrides):
     base = dict(total_users=12, total_samples=7200, num_rbs=3,
                 synthetic_features=8, synthetic_classes=3,
-                dataset_train_size=7200, dataset_test_size=60, rounds=3)
+                dataset_test_size=60, rounds=3)
     base.update(overrides)
     return SystemConfig().replace(**base)
 
@@ -87,6 +87,14 @@ def test_run_experiment_rejects_unknown_algorithms_up_front(monkeypatch):
                           replicas=2)
     msg = r"^unknown algorithm 'best' \(choose from rnd, opt, opt\+dp\)$"
     with pytest.raises(ValueError, match=msg):
+        run_experiment(spec)
+
+
+def test_run_experiment_rejects_a_repeated_algorithm(monkeypatch):
+    monkeypatch.setattr(fedcell.harness, "run_replica", _raising(AssertionError))
+    spec = ExperimentSpec(config=small_config(), algorithms=("opt", "rnd", "opt"),
+                          replicas=2)
+    with pytest.raises(ValueError, match=r"^algorithm 'opt' is requested twice$"):
         run_experiment(spec)
 
 
