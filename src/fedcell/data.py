@@ -129,6 +129,10 @@ def load_dataset(config: SystemConfig) -> Dataset:
         raise ValueError(
             f"dataset holds {full.train_x.shape[0]} training samples, "
             f"config assigns {config.total_samples}")
+    if full.test_x.shape[0] < config.dataset_test_size:
+        raise ValueError(
+            f"dataset holds {full.test_x.shape[0]} test samples, "
+            f"config asks for {config.dataset_test_size}")
     rng = seeding.stream(config.seed, seeding.DATASET)
     tsel = rng.permutation(full.train_x.shape[0])[:config.total_samples]
     esel = rng.permutation(full.test_x.shape[0])[:config.dataset_test_size]

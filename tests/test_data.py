@@ -99,6 +99,15 @@ def test_load_dataset_rejects_short_supply(tmp_path):
         load_dataset(cfg)
 
 
+def test_load_dataset_rejects_a_short_test_set(tmp_path):
+    write_idx_dataset(tmp_path, train_n=80, test_n=20)
+    cfg = SystemConfig().replace(total_users=10, total_samples=40,
+                                 dataset_path=str(tmp_path), dataset_test_size=21)
+    with pytest.raises(ValueError, match="holds 20 test samples, config asks for 21"):
+        load_dataset(cfg)
+    assert load_dataset(cfg.replace(dataset_test_size=20)).test_x.shape == (20, 36)
+
+
 def test_load_dataset_idx_path(tmp_path):
     write_idx_dataset(tmp_path, train_n=80, test_n=30)
     cfg = SystemConfig().replace(total_users=5, total_samples=40,
