@@ -198,6 +198,8 @@ def _replica_task(args):
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricsTable:
+    if not spec.algorithms:
+        raise ValueError("no algorithm requested")
     for i, alg in enumerate(spec.algorithms):
         _builder(alg)
         if alg in spec.algorithms[:i]:

@@ -71,6 +71,15 @@ def test_run_rejects_unknown_algorithm(config_path, tmp_path, capsys):
     assert "best" in err
 
 
+def test_run_rejects_an_empty_algorithm_list(config_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["run", "--config", config_path, "--algorithms", ",",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: no algorithm requested")
+    assert not out.exists()
+
+
 def test_schedule_emits_allocation_and_cell_objectives(config_path, tmp_path,
                                                        capsys):
     out = tmp_path / "sched"

@@ -98,6 +98,13 @@ def test_run_experiment_rejects_a_repeated_algorithm(monkeypatch):
         run_experiment(spec)
 
 
+def test_run_experiment_rejects_an_empty_algorithm_list(monkeypatch):
+    monkeypatch.setattr(fedcell.harness, "run_replica", _raising(AssertionError))
+    spec = ExperimentSpec(config=small_config(), algorithms=(), replicas=2)
+    with pytest.raises(ValueError, match=r"^no algorithm requested$"):
+        run_experiment(spec)
+
+
 def test_allocate_rejects_unknown_algorithms():
     cfg = small_config()
     topo = generate_topology(cfg, 0)
