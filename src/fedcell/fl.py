@@ -2,11 +2,17 @@
 
 Each round, every scheduled user computes its full-batch gradient and clips
 it to the norm bound; base stations average their users' clipped gradients
-by sample count, and the global model averages the cells the same way.  In
-the paper's scheme every user also adds its own N(0, sigma_u^2 I) before the
-uplink, and the global model only ever sees the sample-weighted sum of those
-noises.  The users' mechanisms are independent Gaussians, so their sum is
-drawn as one: N(0, sum_u (K_u sigma_u / K_a)^2 I), with the same law.  The
+by sample count, and the global model averages the cells the same way.  Both
+averages are accumulated in place, one weighted term at a time:
+`bs_aggregate` adds K_u / K_cell times a user's clipped gradient into its
+cell's mean, and `global_aggregate` adds K_cell / K_a times that mean into
+the round's gradient.  Sample counts are integers, so every weight and total
+is exact and the sums are the sample-weighted means term for term; a round
+holds a fixed handful of model-sized arrays however many users it schedules.
+In the paper's scheme every user also adds its own N(0, sigma_u^2 I) before
+the uplink, and the global model only ever sees the sample-weighted sum of
+those noises.  The users' mechanisms are independent Gaussians, so their sum
+is drawn as one: N(0, sum_u (K_u sigma_u / K_a)^2 I), with the same law.  The
 round is then one step, w' = w - step * (mean clipped gradient + noise).
 The per-user accounting in `dp.py` is unchanged.  Noise comes from a
 dedicated stream per (seed, round), so results are independent of
@@ -46,7 +52,10 @@ def gaussian_mechanism(grad: np.ndarray, sigma: float, rng: np.random.Generator)
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return grad
-    return grad + sigma * rng.standard_normal(grad.shape)
+    noise = rng.standard_normal(grad.shape)
+    noise *= sigma
+    noise += grad
+    return noise
 
 
 def local_gradient(model: Mlp, shard: Shard, w: np.ndarray) -> np.ndarray:
@@ -59,25 +68,16 @@ def local_update(w: np.ndarray, grad: np.ndarray, step: float) -> np.ndarray:
     return w - step * grad
 
 
-def weighted_model_mean(models, weights) -> np.ndarray:
-    """Sample-weighted average of vectors: users' clipped gradients in a
-    cell, or the cells' mean gradients."""
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("aggregation needs positive total weight")
-    out = np.zeros_like(models[0])
-    for m, wt in zip(models, weights):
-        out += (wt / total) * m
-    return out
+def bs_aggregate(acc: np.ndarray, grad: np.ndarray, weight: float) -> None:
+    """Add a user's clipped gradient, weighted K_u / K_cell, into its cell's
+    mean `acc` in place."""
+    acc += weight * grad
 
 
-def bs_aggregate(models, weights) -> np.ndarray:
-    return weighted_model_mean(models, weights)
-
-
-def global_aggregate(cell_models, cell_weights) -> np.ndarray:
-    return weighted_model_mean(cell_models, cell_weights)
+def global_aggregate(acc: np.ndarray, cell_mean: np.ndarray, weight: float) -> None:
+    """Add a cell's mean gradient, weighted K_cell / K_a, into the round's
+    gradient `acc` in place."""
+    acc += weight * cell_mean
 
 
 def noise_stream(seed: int, round_index: int) -> np.random.Generator:
@@ -109,22 +109,22 @@ def train(topo: Topology, alloc: Allocation, dataset: Dataset,
     w = model.init_params(seeding.stream(seed, seeding.WEIGHTS))
     shards = build_shards(dataset, topo, seed)
 
+    # each cell's scheduled users and their sample total K_cell
+    cells = [(users, K[users].sum()) for users in
+             ([int(u) for u in cell if mask[u]] for cell in topo.cell_users) if users]
+    g = np.empty(model.dim)          # the round's mean clipped gradient
+    cell_mean = np.empty(model.dim)
     state = FlState(weights=w)
     for t in range(config.rounds):
-        cell_grads = []
-        cell_weights = []
-        for s in range(topo.num_cells):
-            users = [int(u) for u in topo.cell_users[s] if mask[u]]
-            if not users:
-                continue
-            grads = [clip_global_norm(local_gradient(model, shards[u], w), config.clip)
-                     for u in users]
-            wts = [K[u] for u in users]
-            cell_grads.append(bs_aggregate(grads, wts))
-            cell_weights.append(sum(wts))
-        g = global_aggregate(cell_grads, cell_weights)
-        g = gaussian_mechanism(g, sigma, noise_stream(seed, t))
-        w = local_update(w, g, config.step)
+        g.fill(0.0)
+        for users, k_cell in cells:
+            cell_mean.fill(0.0)
+            for u in users:
+                grad = clip_global_norm(local_gradient(model, shards[u], w), config.clip)
+                bs_aggregate(cell_mean, grad, K[u] / k_cell)
+            global_aggregate(g, cell_mean, k_cell / total)
+        w = local_update(w, gaussian_mechanism(g, sigma, noise_stream(seed, t)),
+                         config.step)
         if not np.isfinite(w).all():
             raise TrainDivergedError(t)
         loss, acc = model.evaluate(w, dataset.test_x, dataset.test_y)

@@ -34,45 +34,57 @@ class Mlp:
                 for ws, bs, fan_in, fan_out in self.slices]
 
     def _forward(self, w, x):
+        """Every layer's input (x first) and the logits; each bias is added
+        and each ReLU applied in place on its fresh weight product."""
         layers = self.unpack(w)
         acts = [x]
-        h = x
         for wm, b in layers[:-1]:
-            h = np.maximum(h @ wm + b, 0.0)
+            h = acts[-1] @ wm
+            h += b
+            np.maximum(h, 0.0, out=h)
             acts.append(h)
         wm, b = layers[-1]
-        return acts, h @ wm + b
+        logits = acts[-1] @ wm
+        logits += b
+        return acts, logits
 
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
-        """Mean cross entropy over (x, y) and its flat gradient."""
+        """Mean cross entropy over (x, y) and its flat gradient.
+
+        The logits become the softmax delta in place, and each weight
+        product is written straight into its slice of the gradient."""
         n = x.shape[0]
         if n == 0:
             raise ValueError("empty batch")
         layers = self.unpack(w)
-        acts, logits = self._forward(w, x)
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        denom = e.sum(axis=1)
-        loss = float(np.mean(np.log(denom) - z[np.arange(n), y]))
+        acts, delta = self._forward(w, x)
+        rows = np.arange(n)
+        delta -= delta.max(axis=1, keepdims=True)
+        shifted_y = delta[rows, y]
+        np.exp(delta, out=delta)
+        denom = delta.sum(axis=1)
+        loss = float(np.mean(np.log(denom) - shifted_y))
 
-        grad = np.zeros(self.dim)
-        delta = e / denom[:, None]
-        delta[np.arange(n), y] -= 1.0
+        grad = np.empty(self.dim)
+        delta /= denom[:, None]
+        delta[rows, y] -= 1.0
         delta /= n
         for layer in range(len(layers) - 1, -1, -1):
             ws, bs, fan_in, fan_out = self.slices[layer]
-            grad[ws] = (acts[layer].T @ delta).ravel()
-            grad[bs] = delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=grad[ws].reshape(fan_in, fan_out))
+            np.sum(delta, axis=0, out=grad[bs])
             if layer:
-                delta = (delta @ layers[layer][0].T) * (acts[layer] > 0.0)
+                delta = delta @ layers[layer][0].T
+                delta *= acts[layer] > 0.0
         return loss, grad
 
     def evaluate(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
         """(mean cross entropy, accuracy) on a labelled set."""
         n = x.shape[0]
         _, logits = self._forward(w, x)
-        z = logits - logits.max(axis=1, keepdims=True)
-        denom = np.exp(z).sum(axis=1)
-        loss = float(np.mean(np.log(denom) - z[np.arange(n), y]))
         acc = float(np.mean(np.argmax(logits, axis=1) == y))
+        logits -= logits.max(axis=1, keepdims=True)
+        shifted_y = logits[np.arange(n), y]
+        denom = np.exp(logits, out=logits).sum(axis=1)
+        loss = float(np.mean(np.log(denom) - shifted_y))
         return loss, acc

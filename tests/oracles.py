@@ -176,6 +176,20 @@ def gradient_descent(loss_and_grad, w0, step, rounds):
     return path
 
 
+def weighted_model_mean(models, weights) -> np.ndarray:
+    """Sample-weighted average of vectors, the reference for the in-place
+    accumulation of `fedcell.fl`: users' clipped gradients in a cell, or the
+    cells' mean gradients.  Adds (weight / total) * vector in list order."""
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    if total <= 0.0:
+        raise ValueError("aggregation needs positive total weight")
+    out = np.zeros_like(models[0])
+    for m, wt in zip(models, weights):
+        out += (wt / total) * m
+    return out
+
+
 def two_level_round(grad, w, cells, samples, sigmas, clip, step, rng):
     """One training round of the paper's scheme as written.
 

@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import gradient_descent, two_level_round
+from oracles import gradient_descent, two_level_round, weighted_model_mean
 
 from fedcell import seeding
-from fedcell.config import SystemConfig
+from fedcell.config import SystemConfig, load_config
 from fedcell.data import build_shards, load_dataset
 from fedcell.fl import (TrainDivergedError, bs_aggregate, clip_global_norm,
                         gaussian_mechanism, global_aggregate, local_gradient,
-                        local_update, noise_stream, train, weighted_model_mean)
+                        local_update, noise_stream, train)
 from fedcell.mlp import Mlp
 from fedcell.radio import empty_allocation
 from fedcell.topology import generate_topology
@@ -88,9 +90,31 @@ def test_weighted_mean_matches_numpy_average(count, seed):
 
 def test_aggregate_rejects_zero_weight():
     with pytest.raises(ValueError):
-        bs_aggregate([np.zeros(2)], [0.0])
+        weighted_model_mean([np.zeros(2)], [0.0])
     with pytest.raises(ValueError):
-        global_aggregate([np.zeros(2)], [-1.0])
+        weighted_model_mean([np.zeros(2)], [-1.0])
+
+
+@settings(max_examples=40)
+@given(st.lists(st.lists(st.integers(1, 500), min_size=1, max_size=5),
+                min_size=1, max_size=7), st.integers(0, 1000))
+def test_accumulators_equal_the_two_level_weighted_mean(cell_samples, seed):
+    # integer sample counts make every weight and total exact, so the
+    # in-place sums are the reference means bit for bit
+    rng = np.random.default_rng(seed)
+    grads = [[rng.normal(size=9) for _ in cell] for cell in cell_samples]
+    k_cells = [float(sum(cell)) for cell in cell_samples]
+    k_total = float(sum(k_cells))
+
+    g = np.zeros(9)
+    for cell, vecs, k_cell in zip(cell_samples, grads, k_cells):
+        cell_mean = np.zeros(9)
+        for k_u, vec in zip(cell, vecs):
+            assert bs_aggregate(cell_mean, vec, k_u / k_cell) is None
+        assert np.array_equal(cell_mean, weighted_model_mean(vecs, cell))
+        global_aggregate(g, cell_mean, k_cell / k_total)
+    means = [weighted_model_mean(vecs, cell) for vecs, cell in zip(grads, cell_samples)]
+    assert np.array_equal(g, weighted_model_mean(means, k_cells))
 
 
 def test_local_update_formula():
@@ -196,6 +220,33 @@ def test_round_noise_has_the_summed_users_variance():
         n = nu.size
         assert abs(nu.mean()) <= 5.0 * np.sqrt(expect / n)
         assert abs(nu.var() - expect) <= 5.0 * expect * np.sqrt(2.0 / n)
+
+
+def test_training_memory_does_not_grow_with_the_schedule():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "desk_train_r5.yaml").replace(rounds=1)
+    topo = generate_topology(cfg, 0)
+    ds = load_dataset(cfg)
+    shards = sum(s.x.nbytes + s.y.nbytes for s in build_shards(ds, topo, 0))
+
+    def net_peak(num_cells):
+        """Traced peak inside train, net of its shards, with up to num_rbs
+        users scheduled in each of the first num_cells cells."""
+        alloc = empty_allocation(topo)
+        for users in topo.cell_users[:num_cells]:
+            on = users[:cfg.num_rbs]
+            alloc.block[on] = np.arange(on.size)
+        alloc.sigmas = np.ones(topo.num_users)
+        tracemalloc.start()
+        try:
+            train(topo, alloc, ds, cfg, seed=0)
+            return tracemalloc.get_traced_memory()[1] - shards
+        finally:
+            tracemalloc.stop()
+
+    one, seven = net_peak(1), net_peak(topo.num_cells)
+    # a list of gradients or cell means would add one vector per cell
+    assert seven - one < Mlp(ds.input_dim, ds.num_classes).dim * 8
 
 
 def test_train_metrics_lengths_and_determinism():
