@@ -1,7 +1,9 @@
 """Behaviour snapshot: fixed experiments compared against checked-in csv files.
 
-Each case in CASES is rerun and its five csv files are compared with the
-copies under tests/golden/<case>/ at stated tolerances:
+Each `run` case in CASES is rerun and its five csv files are compared with
+the copies under tests/golden/<case>/ at stated tolerances; each `schedule`
+case in SCHEDULE_CASES (r5 and r8, seeds 0-2, every algorithm) is rerun
+through the command line and its two csv files are compared the same way:
 
 - bounds.csv: exact on algorithm, replica, seed, scheduled_users,
   scheduled_samples, converges and c3_check; relative 1e-9 on objective,
@@ -15,7 +17,10 @@ copies under tests/golden/<case>/ at stated tolerances:
   see learning.  Fifty rounds amplify last-digit BLAS differences only a
   little (one against two OpenBLAS threads moves the loss by at most 5e-14),
   so this band absorbs another BLAS build while any change to the schedule,
-  the noise or the update moves the numbers well outside it.
+  the noise or the update moves the numbers well outside it;
+- allocation.csv: exact on user, cell, samples and block; relative 1e-9 on
+  power_w, sigma, rate_bit_s and rho;
+- cell_objectives.csv: exact on cell, relative 1e-9 on objective.
 
 Each case prints, on a pass as well, the largest relative difference it
 met at each tolerance, so a run shows how far it is from the snapshot.
@@ -37,8 +42,10 @@ from pathlib import Path
 import pytest
 
 import conftest
+from fedcell.cli import main
 from fedcell.config import load_config
-from fedcell.harness import CSV_NAMES, ExperimentSpec, emit_csv, run_experiment
+from fedcell.harness import (ALGORITHMS, CSV_NAMES, ExperimentSpec, emit_csv,
+                             run_experiment)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -50,6 +57,13 @@ CASES = {
     "desk_train_r5": ("desk_train_r5.yaml", {"rounds": 50}, 1, True),
 }
 
+# schedule case -> (config file, seed, algorithm)
+SCHEDULE_CASES = {
+    f"schedule_{tag}_seed{seed}_{alg}": (f"full_scale_{tag}.yaml", seed, alg)
+    for tag in ("r5", "r8") for seed in range(3) for alg in ALGORITHMS
+}
+SCHEDULE_NAMES = ("allocation.csv", "cell_objectives.csv")
+
 REL = 1e-9
 LOSS_REL = 1e-6
 
@@ -58,6 +72,8 @@ BOUNDS_EXACT = ("algorithm", "replica", "seed", "scheduled_users",
                 "scheduled_samples", "converges", "c3_check")
 BOUNDS_CLOSE = ("objective", "normalized_objective", "leakage_total",
                 "c1", "c2", "c3")
+ALLOCATION_EXACT = ("user", "cell", "samples", "block")
+ALLOCATION_CLOSE = ("power_w", "sigma", "rate_bit_s", "rho")
 
 
 def case_spec(case: str) -> ExperimentSpec:
@@ -70,6 +86,12 @@ def produce(case: str, out_dir) -> ExperimentSpec:
     spec = case_spec(case)
     emit_csv(run_experiment(spec), spec, out_dir)
     return spec
+
+
+def produce_schedule(case: str, out_dir) -> None:
+    name, seed, alg = SCHEDULE_CASES[case]
+    assert main(["schedule", "--config", str(ROOT / "configs" / name),
+                 "--algorithm", alg, "--seed", str(seed), "--out", str(out_dir)]) == 0
 
 
 def read_table(path: Path):
@@ -102,6 +124,10 @@ def compare_file(name: str, golden: Path, got: Path, test_size: int,
         exact, close = BOUNDS_EXACT, {c: REL for c in BOUNDS_CLOSE}
     elif name in ("objective_cdf.csv", "leakage_cdf.csv"):
         exact, close = ("algorithm",), {c: REL for c in g_head[1:]}
+    elif name == "allocation.csv":
+        exact, close = ALLOCATION_EXACT, {c: REL for c in ALLOCATION_CLOSE}
+    elif name == "cell_objectives.csv":
+        exact, close = ("cell",), {"objective": REL}
     else:
         exact = ("algorithm", "replica", "round")
         close = {"test_loss": LOSS_REL}
@@ -124,24 +150,37 @@ def compare_file(name: str, golden: Path, got: Path, test_size: int,
     return problems
 
 
-def compare_case(golden_dir: Path, got_dir: Path, spec: ExperimentSpec):
+def compare_case(golden_dir: Path, got_dir: Path, names=CSV_NAMES, test_size=None):
     """(mismatches, largest relative difference per tolerance) over the
-    five csv files of one case."""
-    test_size = spec.config.dataset_test_size
+    csv files `names` of one case; `test_size` counts the test examples of
+    a training case."""
     problems = []
     worst = {REL: 0.0, LOSS_REL: 0.0}
-    for name in CSV_NAMES:
+    for name in names:
         problems += compare_file(name, golden_dir / name, got_dir / name, test_size,
                                  worst)
     return problems, worst
 
 
+def record_distance(case: str, worst: dict) -> None:
+    conftest.record("golden snapshot distance", f"{case}: " + ", ".join(
+        f"max rel diff {diff:.2e} (tol {tol:g})" for tol, diff in worst.items()))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_snapshot(case, tmp_path):
     spec = produce(case, tmp_path)
-    problems, worst = compare_case(GOLDEN / case, tmp_path, spec)
-    conftest.record("golden snapshot distance", f"{case}: " + ", ".join(
-        f"max rel diff {diff:.2e} (tol {tol:g})" for tol, diff in worst.items()))
+    problems, worst = compare_case(GOLDEN / case, tmp_path,
+                                   test_size=spec.config.dataset_test_size)
+    record_distance(case, worst)
+    assert not problems, "\n".join(problems[:20])
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_CASES))
+def test_schedule_matches_golden_snapshot(case, tmp_path):
+    produce_schedule(case, tmp_path)
+    problems, worst = compare_case(GOLDEN / case, tmp_path, SCHEDULE_NAMES)
+    record_distance(case, worst)
     assert not problems, "\n".join(problems[:20])
 
 
@@ -154,13 +193,30 @@ def test_comparer_rejects_a_nudged_objective(tmp_path):
     rows[3][col] = repr(float(rows[3][col]) * (1.0 + 1e-6))
     with open(tmp_path / "bounds.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([head] + rows)
-    spec = case_spec(case)
-    same = compare_case(GOLDEN / case, GOLDEN / case, spec)
+    same = compare_case(GOLDEN / case, GOLDEN / case)
     assert same == ([], {REL: 0.0, LOSS_REL: 0.0})
-    problems, worst = compare_case(GOLDEN / case, tmp_path, spec)
+    problems, worst = compare_case(GOLDEN / case, tmp_path)
     assert worst[REL] == pytest.approx(1e-6 / (1.0 + 1e-6))
     assert len(problems) == 1
     assert problems[0].startswith("bounds.csv:5 objective:")
+
+
+def test_comparer_rejects_a_moved_block(tmp_path):
+    case = "schedule_r5_seed0_opt"
+    for name in SCHEDULE_NAMES:
+        shutil.copy(GOLDEN / case / name, tmp_path / name)
+    head, rows = read_table(tmp_path / "allocation.csv")
+    col = head.index("block")
+    row = next(i for i, r in enumerate(rows) if r[col] != "-1")
+    block = int(rows[row][col])
+    rows[row][col] = str((block + 1) % 5)    # r5: blocks 0-4
+    with open(tmp_path / "allocation.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([head] + rows)
+    assert compare_case(GOLDEN / case, GOLDEN / case, SCHEDULE_NAMES)[0] == []
+    problems, worst = compare_case(GOLDEN / case, tmp_path, SCHEDULE_NAMES)
+    assert worst[REL] == 0.0
+    assert problems == [f"allocation.csv:{row + 2} block: {(block + 1) % 5} "
+                        f"!= golden {block}"]
 
 
 @pytest.mark.parametrize("examples,accepted", [(1, True), (-1, True), (2, False)])
@@ -175,7 +231,7 @@ def test_comparer_allows_one_test_example_of_accuracy(examples, accepted, tmp_pa
     rows[2][col] = repr((round(float(rows[2][col]) * n) + examples) / n)
     with open(tmp_path / "accuracy.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([head] + rows)
-    problems, _ = compare_case(GOLDEN / case, tmp_path, spec)
+    problems, _ = compare_case(GOLDEN / case, tmp_path, test_size=n)
     if accepted:
         assert problems == []
     else:
@@ -184,6 +240,9 @@ def test_comparer_allows_one_test_example_of_accuracy(examples, accepted, tmp_pa
 
 
 if __name__ == "__main__":
-    for case in (sys.argv[1:] or sorted(CASES)):
-        produce(case, GOLDEN / case)
+    for case in (sys.argv[1:] or [*sorted(CASES), *sorted(SCHEDULE_CASES)]):
+        if case in SCHEDULE_CASES:
+            produce_schedule(case, GOLDEN / case)
+        else:
+            produce(case, GOLDEN / case)
         print(GOLDEN / case)
