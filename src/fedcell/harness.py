@@ -200,6 +200,9 @@ def _replica_task(args):
 def run_experiment(spec: ExperimentSpec) -> MetricsTable:
     if not spec.algorithms:
         raise ValueError("no algorithm requested")
+    for name in ("replicas", "jobs"):
+        if getattr(spec, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(spec, name)}")
     for i, alg in enumerate(spec.algorithms):
         _builder(alg)
         if alg in spec.algorithms[:i]:

@@ -80,6 +80,17 @@ def test_run_rejects_an_empty_algorithm_list(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--replicas", "0"), ("--replicas", "-3"),
+                                        ("--jobs", "0")])
+def test_run_rejects_a_non_positive_count(flag, value, config_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["run", "--config", config_path, flag, value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[2:]} must be >= 1, got {value}")
+    assert not out.exists()
+
+
 def test_schedule_emits_allocation_and_cell_objectives(config_path, tmp_path,
                                                        capsys):
     out = tmp_path / "sched"

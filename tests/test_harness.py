@@ -1,4 +1,5 @@
 """Experiment harness: replica pairing, row ordering, csv bytes."""
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from fedcell.harness import (ALGORITHMS, CSV_NAMES, ExperimentSpec,
                              emit_csv, empirical_cdf, run_experiment,
                              run_replica)
 from fedcell.topology import generate_topology
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(**overrides):
@@ -102,6 +105,15 @@ def test_run_experiment_rejects_an_empty_algorithm_list(monkeypatch):
     monkeypatch.setattr(fedcell.harness, "run_replica", _raising(AssertionError))
     spec = ExperimentSpec(config=small_config(), algorithms=(), replicas=2)
     with pytest.raises(ValueError, match=r"^no algorithm requested$"):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize("field,value", [("replicas", 0), ("replicas", -3),
+                                         ("jobs", 0)])
+def test_run_experiment_rejects_a_non_positive_count(field, value, monkeypatch):
+    monkeypatch.setattr(fedcell.harness, "run_replica", _raising(AssertionError))
+    spec = ExperimentSpec(config=small_config(), **{"replicas": 2, field: value})
+    with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
         run_experiment(spec)
 
 
@@ -253,3 +265,13 @@ def test_sweep_keeps_opt_and_dp_orderings():
             assert rnd.size == dp.size == 50
             assert np.all(opt <= rnd * (1.0 + 1e-12))
             assert np.all(dp <= opt * (1.0 + 1e-12))
+
+
+def test_readme_library_example_prints_a_finite_total(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    total = float(capsys.readouterr().out)
+    assert math.isfinite(total) and total > 0.0
