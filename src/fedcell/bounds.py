@@ -42,6 +42,9 @@ from .config import SystemConfig
 from .radio import Allocation
 from .topology import Topology
 
+# slack of the noise budget check, for the rounding of a budget-tight optimum
+C3_CHECK_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -71,12 +74,11 @@ def evaluate_bound(topo: Topology, alloc: Allocation, config: SystemConfig,
     return BoundConstants(c1=c1, c2=c2, c3=c3)
 
 
-def c3_constraint_check(topo: Topology, alloc: Allocation, config: SystemConfig,
-                        rel_tol: float = 1e-8) -> bool:
+def c3_constraint_check(topo: Topology, alloc: Allocation, config: SystemConfig) -> bool:
     """True when the scheduled noise variance respects its budget:
-    sum K sigma^2 a <= v_max sum K a (within rel_tol)."""
+    sum K sigma^2 a <= v_max sum K a (within relative C3_CHECK_REL_TOL)."""
     mask = alloc.scheduled(topo)
     K = topo.samples[mask].astype(float)
     lhs = float(K @ alloc.sigmas[mask] ** 2)
     rhs = config.v_max * float(K.sum())
-    return lhs <= rhs * (1.0 + rel_tol)
+    return lhs <= rhs * (1.0 + C3_CHECK_REL_TOL)
