@@ -42,8 +42,7 @@ from .config import SystemConfig
 from .radio import Allocation
 from .topology import Topology
 
-# slack of the noise budget check, for the rounding of a budget-tight optimum
-C3_CHECK_REL_TOL = 1e-8
+C3_CHECK_REL_TOL = 1e-8   # slack of the budget check for a budget-tight optimum
 
 
 @dataclass(frozen=True)

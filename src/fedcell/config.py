@@ -59,8 +59,8 @@ class SystemConfig:
     lognormal_sigma: float = 1.0         # log-space std of the sample split
     dataset_path: str | None = None      # directory of idx files; None draws synthetic data
     dataset_test_size: int = 1000
-    synthetic_features: int = 64
-    synthetic_classes: int = 10
+    features: int = 64                   # model inputs: synthetic features or idx pixels
+    classes: int = 10                    # model outputs; every label is below it
 
     seed: int = 0
 
@@ -93,7 +93,7 @@ class SystemConfig:
             problems.append("total_samples must be >= total_users so every user holds data")
         if self.lognormal_sigma < 0.0:
             problems.append("lognormal_sigma must be >= 0")
-        for name in ("dataset_test_size", "synthetic_features", "synthetic_classes"):
+        for name in ("dataset_test_size", "features", "classes"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1")
         if problems:

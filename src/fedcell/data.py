@@ -1,5 +1,8 @@
 """Datasets: idx files when available, seeded synthetic blobs otherwise.
 
+The config's `features` and `classes` shape the model and either source:
+blobs are drawn with them, and idx images and labels must fit them.
+
 The idx format is big-endian: two zero bytes, a dtype code, a dimension
 count, then one 4-byte size per dimension, then the raw payload.  Files may
 be gzip-compressed (.gz suffix or magic detection).
@@ -48,14 +51,6 @@ class Dataset:
     test_x: np.ndarray
     test_y: np.ndarray
 
-    @property
-    def input_dim(self) -> int:
-        return self.train_x.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return int(max(self.train_y.max(), self.test_y.max())) + 1
-
 
 _IDX_NAMES = {
     "train_x": ("train-images-idx3-ubyte", "train-images.idx3-ubyte"),
@@ -90,7 +85,7 @@ def load_idx_dataset(root: str | Path) -> Dataset:
 _CLUSTERS_PER_CLASS = 3
 
 
-def synthetic_blobs(num_classes: int, num_features: int, train_n: int, test_n: int,
+def synthetic_blobs(classes: int, features: int, train_n: int, test_n: int,
                     seed: int) -> Dataset:
     """Gaussian mixture classification data, rescaled into [0, 1].
 
@@ -99,12 +94,12 @@ def synthetic_blobs(num_classes: int, num_features: int, train_n: int, test_n: i
     paying off.
     """
     rng = seeding.stream(seed, seeding.DATASET)
-    centers = rng.normal(0.0, 1.0, size=(num_classes, _CLUSTERS_PER_CLASS, num_features))
+    centers = rng.normal(0.0, 1.0, size=(classes, _CLUSTERS_PER_CLASS, features))
 
     def draw(n):
-        y = rng.integers(0, num_classes, n)
+        y = rng.integers(0, classes, n)
         cl = rng.integers(0, _CLUSTERS_PER_CLASS, n)
-        x = centers[y, cl] + rng.normal(0.0, 1.0, size=(n, num_features))
+        x = centers[y, cl] + rng.normal(0.0, 1.0, size=(n, features))
         return x, y.astype(np.int64)
 
     tx, ty = draw(train_n)
@@ -121,9 +116,8 @@ def load_dataset(config: SystemConfig) -> Dataset:
     by the config seed: synthetic blobs when `dataset_path` is None, else a
     seeded selection of the idx files in that directory."""
     if config.dataset_path is None:
-        return synthetic_blobs(config.synthetic_classes, config.synthetic_features,
-                               config.total_samples, config.dataset_test_size,
-                               config.seed)
+        return synthetic_blobs(config.classes, config.features, config.total_samples,
+                               config.dataset_test_size, config.seed)
     full = load_idx_dataset(config.dataset_path)
     if full.train_x.shape[0] < config.total_samples:
         raise ValueError(
@@ -133,6 +127,14 @@ def load_dataset(config: SystemConfig) -> Dataset:
         raise ValueError(
             f"dataset holds {full.test_x.shape[0]} test samples, "
             f"config asks for {config.dataset_test_size}")
+    for x in (full.train_x, full.test_x):
+        if x.shape[1] != config.features:
+            raise ValueError(f"dataset images hold {x.shape[1]} pixels, "
+                             f"config sets features {config.features}")
+    labels = np.concatenate([full.train_y, full.test_y])
+    if labels.min() < 0 or labels.max() >= config.classes:
+        raise ValueError(f"dataset labels span {labels.min()}..{labels.max()}, "
+                         f"config sets classes {config.classes}")
     rng = seeding.stream(config.seed, seeding.DATASET)
     tsel = rng.permutation(full.train_x.shape[0])[:config.total_samples]
     esel = rng.permutation(full.test_x.shape[0])[:config.dataset_test_size]

@@ -1,4 +1,5 @@
-"""Federated training over the scheduled users.
+"""Federated training of `Mlp(config.features, config.classes)`, the model
+whose dimension the convergence bound charges, over the scheduled users.
 
 Each round, every scheduled user computes its full-batch gradient and clips
 it to the norm bound; base stations average their users' clipped gradients
@@ -59,8 +60,6 @@ def gaussian_mechanism(grad: np.ndarray, sigma: float, rng: np.random.Generator)
 
 
 def local_gradient(model: Mlp, shard: Shard, w: np.ndarray) -> np.ndarray:
-    if shard.x.shape[0] == 0:
-        raise ValueError(f"user {shard.user} holds no samples")
     return model.loss_and_grad(w, shard.x, shard.y)[1]
 
 
@@ -105,7 +104,7 @@ def train(topo: Topology, alloc: Allocation, dataset: Dataset,
     # scale of the sum of the users' noises, each weighted K_u / K_a
     sigma = float(np.linalg.norm(K[mask] * alloc.sigmas[mask])) / total
 
-    model = Mlp(dataset.input_dim, dataset.num_classes)
+    model = Mlp(config.features, config.classes)
     w = model.init_params(seeding.stream(seed, seeding.WEIGHTS))
     shards = build_shards(dataset, topo, seed)
 

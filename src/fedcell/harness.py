@@ -116,16 +116,10 @@ _DATASET_CACHE = {}
 
 def _dataset_for(config: SystemConfig):
     key = (config.dataset_path, config.total_samples, config.dataset_test_size,
-           config.synthetic_features, config.synthetic_classes, config.seed)
+           config.features, config.classes, config.seed)
     if key not in _DATASET_CACHE:
         _DATASET_CACHE[key] = load_dataset(config)
     return _DATASET_CACHE[key]
-
-
-def _model_dim(config: SystemConfig, dataset) -> int:
-    if dataset is not None:
-        return Mlp(dataset.input_dim, dataset.num_classes).dim
-    return Mlp(config.synthetic_features, config.synthetic_classes).dim
 
 
 def _builder(name: str):
@@ -154,7 +148,7 @@ def run_replica(config: SystemConfig, algorithms, replica: int, seed: int,
     errors = []
     topo = generate_topology(config, seed)
     dataset = _dataset_for(config) if do_train else None
-    dim = _model_dim(config, dataset)
+    dim = Mlp(config.features, config.classes).dim
     done = {}
     for alg in algorithms:
         try:

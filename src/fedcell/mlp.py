@@ -8,9 +8,18 @@ from __future__ import annotations
 import numpy as np
 
 
+def _cross_entropy(logits: np.ndarray, y: np.ndarray):
+    """Mean cross entropy of `logits` against labels `y`, and each row's
+    softmax denominator; `logits` end as the numerators, exp(row - row max)."""
+    logits -= logits.max(axis=1, keepdims=True)
+    shifted_y = logits[np.arange(logits.shape[0]), y]
+    denom = np.exp(logits, out=logits).sum(axis=1)
+    return float(np.mean(np.log(denom) - shifted_y)), denom
+
+
 class Mlp:
-    def __init__(self, input_dim: int, num_classes: int, hidden=(256, 256)):
-        self.sizes = [int(input_dim), *[int(h) for h in hidden], int(num_classes)]
+    def __init__(self, features: int, classes: int, hidden=(256, 256)):
+        self.sizes = [int(features), *[int(h) for h in hidden], int(classes)]
         self.slices = []
         off = 0
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
@@ -58,16 +67,11 @@ class Mlp:
             raise ValueError("empty batch")
         layers = self.unpack(w)
         acts, delta = self._forward(w, x)
-        rows = np.arange(n)
-        delta -= delta.max(axis=1, keepdims=True)
-        shifted_y = delta[rows, y]
-        np.exp(delta, out=delta)
-        denom = delta.sum(axis=1)
-        loss = float(np.mean(np.log(denom) - shifted_y))
+        loss, denom = _cross_entropy(delta, y)
 
         grad = np.empty(self.dim)
         delta /= denom[:, None]
-        delta[rows, y] -= 1.0
+        delta[np.arange(n), y] -= 1.0
         delta /= n
         for layer in range(len(layers) - 1, -1, -1):
             ws, bs, fan_in, fan_out = self.slices[layer]
@@ -80,11 +84,6 @@ class Mlp:
 
     def evaluate(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
         """(mean cross entropy, accuracy) on a labelled set."""
-        n = x.shape[0]
         _, logits = self._forward(w, x)
         acc = float(np.mean(np.argmax(logits, axis=1) == y))
-        logits -= logits.max(axis=1, keepdims=True)
-        shifted_y = logits[np.arange(n), y]
-        denom = np.exp(logits, out=logits).sum(axis=1)
-        loss = float(np.mean(np.log(denom) - shifted_y))
-        return loss, acc
+        return _cross_entropy(logits, y)[0], acc

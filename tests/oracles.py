@@ -239,6 +239,22 @@ def idx_bytes(array, compress=False) -> bytes:
     return raw
 
 
+def write_idx_dataset(root, train_n=50, test_n=20, side=6, classes=10, seed=0):
+    """Random side x side uint8 images and labels below `classes`, written
+    under `root` as the four idx files `data.load_idx_dataset` looks for
+    (the test files gzip-compressed); returns the arrays by file name."""
+    rng = np.random.default_rng(seed)
+    files = {
+        "train-images-idx3-ubyte": rng.integers(0, 256, (train_n, side, side)).astype(np.uint8),
+        "train-labels-idx1-ubyte": rng.integers(0, classes, train_n).astype(np.uint8),
+        "t10k-images-idx3-ubyte": rng.integers(0, 256, (test_n, side, side)).astype(np.uint8),
+        "t10k-labels-idx1-ubyte": rng.integers(0, classes, test_n).astype(np.uint8),
+    }
+    for name, arr in files.items():
+        (root / name).write_bytes(idx_bytes(arr, compress=name.startswith("t10k")))
+    return files
+
+
 def interference(alloc, topo, cell, rb):
     """Received power at base station `cell` on block `rb` from the users of
     every other cell, summed user by user."""

@@ -239,14 +239,14 @@ def test_gradients_match_finite_differences():
 def test_noiseless_single_cell_equals_batch_descent():
     cfg = SystemConfig().replace(num_cells=1, total_users=6, total_samples=120,
                                  num_rbs=6, rounds=50, clip=1e6, dataset_test_size=30,
-                                 synthetic_features=8, synthetic_classes=3)
+                                 features=8, classes=3)
     topo = generate_topology(cfg, 0)
     ds = load_dataset(cfg)
     alloc = empty_allocation(topo)
     alloc.block[:] = np.arange(6)
     alloc.sigmas = np.zeros(6)
 
-    model = Mlp(ds.input_dim, ds.num_classes)
+    model = Mlp(cfg.features, cfg.classes)
     w0 = model.init_params(seeding.stream(0, seeding.WEIGHTS))
     shards = build_shards(ds, topo, 0)
     union_x = np.concatenate([s.x for s in shards])
@@ -281,7 +281,7 @@ def test_leakage_closed_form_and_scaling():
 
 def test_csv_outputs_reproduce_byte_for_byte(tmp_path):
     cfg = SystemConfig().replace(total_users=12, total_samples=7200, num_rbs=3,
-                                 synthetic_features=8, synthetic_classes=3,
+                                 features=8, classes=3,
                                  dataset_test_size=60, rounds=3)
     outs = []
     for tag, jobs in (("first", 1), ("second", 1), ("pool", 2)):

@@ -7,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import write_idx_dataset
+
 from fedcell.bounds import c3_constraint_check, evaluate_bound
 from fedcell.cli import build_parser, main
 from fedcell.config import load_config
 from fedcell.dp import leakage
-from fedcell.harness import _model_dim, allocate
+from fedcell.harness import allocate
+from fedcell.mlp import Mlp
 from fedcell.topology import generate_topology
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -26,8 +29,8 @@ noise_psd: -174
 p_max: 10
 r_min: 100
 rounds: 3
-synthetic_features: 8
-synthetic_classes: 3
+features: 8
+classes: 3
 dataset_test_size: 60
 """
 
@@ -158,11 +161,34 @@ def test_run_bounds_row_matches_evaluate_bound(config_path, tmp_path):
     cfg = load_config(config_path)
     topo = generate_topology(cfg, 3)
     alloc = allocate("opt", topo, cfg, 3)
-    const = evaluate_bound(topo, alloc, cfg, _model_dim(cfg, None))
+    const = evaluate_bound(topo, alloc, cfg, Mlp(cfg.features, cfg.classes).dim)
     ok = c3_constraint_check(topo, alloc, cfg)
     assert row[8:] == [repr(const.c1), repr(const.c2), repr(const.c3),
                        "true" if const.converges else "false",
                        "true" if ok else "false"]
+
+
+def test_run_charges_one_model_dimension_with_or_without_training(tmp_path):
+    idx = tmp_path / "idx"
+    idx.mkdir()
+    # labels stop at 4, so a shape read from the data would have 5 classes
+    write_idx_dataset(idx, train_n=7200, test_n=60, side=6, classes=5)
+    path = tmp_path / "idx.yaml"
+    path.write_text(CONFIG_YAML.replace(
+        "features: 8\nclasses: 3\n", f"features: 36\nclasses: 10\ndataset_path: {idx}\n"))
+    c3 = []
+    for flags in ([], ["--train"]):
+        out = tmp_path / f"run{len(flags)}"
+        assert main(["run", "--config", str(path), "--replicas", "1", "--seed", "3",
+                     "--algorithms", "opt+dp", "--out", str(out), *flags]) == 0
+        head, *rows = read_rows(out / "bounds.csv")
+        c3.append([row[head.index("c3")] for row in rows])
+    assert len(read_rows(tmp_path / "run1" / "accuracy.csv")) == 1 + 3
+    cfg = load_config(path)
+    topo = generate_topology(cfg, 3)
+    alloc = allocate("opt+dp", topo, cfg, 3)
+    d = Mlp(36, 10).dim     # 36 pixels in, 10 classes out
+    assert c3[0] == c3[1] == [repr(evaluate_bound(topo, alloc, cfg, d).c3)]
 
 
 def test_missing_config_reports_an_error(tmp_path, capsys):

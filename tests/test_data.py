@@ -3,7 +3,7 @@ import gzip
 import numpy as np
 import pytest
 
-from oracles import idx_bytes
+from oracles import idx_bytes, write_idx_dataset
 
 from fedcell.config import SystemConfig
 from fedcell.data import (Dataset, build_shards, load_dataset, load_idx_dataset,
@@ -38,19 +38,6 @@ def test_idx_rejects_bad_magic(tmp_path):
         read_idx(path)
 
 
-def write_idx_dataset(root, train_n=50, test_n=20, side=6, classes=10, seed=0):
-    rng = np.random.default_rng(seed)
-    files = {
-        "train-images-idx3-ubyte": rng.integers(0, 256, (train_n, side, side)).astype(np.uint8),
-        "train-labels-idx1-ubyte": rng.integers(0, classes, train_n).astype(np.uint8),
-        "t10k-images-idx3-ubyte": rng.integers(0, 256, (test_n, side, side)).astype(np.uint8),
-        "t10k-labels-idx1-ubyte": rng.integers(0, classes, test_n).astype(np.uint8),
-    }
-    for name, arr in files.items():
-        (root / name).write_bytes(idx_bytes(arr, compress=name.startswith("t10k")))
-    return files
-
-
 def test_load_idx_dataset_scales_and_flattens(tmp_path):
     files = write_idx_dataset(tmp_path)
     ds = load_idx_dataset(tmp_path)
@@ -74,8 +61,7 @@ def test_synthetic_blobs_properties():
     assert ds.train_x.shape == (500, 64)
     assert ds.test_x.shape == (100, 64)
     assert ds.train_x.min() >= 0.0 and ds.train_x.max() <= 1.0
-    assert ds.num_classes == 10
-    assert set(np.unique(ds.train_y)) <= set(range(10))
+    assert set(np.unique(ds.train_y)) == set(range(10))
     again = synthetic_blobs(10, 64, 500, 100, seed=0)
     assert np.array_equal(ds.train_x, again.train_x)
     other = synthetic_blobs(10, 64, 500, 100, seed=1)
@@ -85,7 +71,7 @@ def test_synthetic_blobs_properties():
 def test_load_dataset_synthetic_by_default():
     cfg = SystemConfig().replace(total_users=10, total_samples=200,
                                  dataset_test_size=50,
-                                 synthetic_features=16, synthetic_classes=4)
+                                 features=16, classes=4)
     ds = load_dataset(cfg)
     assert ds.train_x.shape == (200, 16)
     assert ds.test_x.shape == (50, 16)
@@ -101,7 +87,7 @@ def test_load_dataset_rejects_short_supply(tmp_path):
 
 def test_load_dataset_rejects_a_short_test_set(tmp_path):
     write_idx_dataset(tmp_path, train_n=80, test_n=20)
-    cfg = SystemConfig().replace(total_users=10, total_samples=40,
+    cfg = SystemConfig().replace(total_users=10, total_samples=40, features=36,
                                  dataset_path=str(tmp_path), dataset_test_size=21)
     with pytest.raises(ValueError, match="holds 20 test samples, config asks for 21"):
         load_dataset(cfg)
@@ -110,11 +96,29 @@ def test_load_dataset_rejects_a_short_test_set(tmp_path):
 
 def test_load_dataset_idx_path(tmp_path):
     write_idx_dataset(tmp_path, train_n=80, test_n=30)
-    cfg = SystemConfig().replace(total_users=5, total_samples=40,
+    cfg = SystemConfig().replace(total_users=5, total_samples=40, features=36,
                                  dataset_path=str(tmp_path), dataset_test_size=20)
     ds = load_dataset(cfg)
     assert ds.train_x.shape == (40, 36)
     assert ds.test_x.shape == (20, 36)
+
+
+def test_load_dataset_rejects_idx_images_of_another_size(tmp_path):
+    write_idx_dataset(tmp_path, train_n=80, test_n=30)
+    cfg = SystemConfig().replace(total_users=5, total_samples=40, features=49,
+                                 dataset_path=str(tmp_path), dataset_test_size=20)
+    with pytest.raises(ValueError, match="images hold 36 pixels, config sets features 49"):
+        load_dataset(cfg)
+
+
+def test_load_dataset_rejects_idx_labels_outside_the_classes(tmp_path):
+    write_idx_dataset(tmp_path, train_n=80, test_n=30, classes=4)
+    cfg = SystemConfig().replace(total_users=5, total_samples=40, features=36,
+                                 classes=3, dataset_path=str(tmp_path),
+                                 dataset_test_size=20)
+    with pytest.raises(ValueError, match=r"labels span 0\.\.3, config sets classes 3"):
+        load_dataset(cfg)
+    assert load_dataset(cfg.replace(classes=4)).train_y.max() <= 3
 
 
 def test_load_dataset_idx_requires_files(tmp_path):
@@ -126,7 +130,7 @@ def test_load_dataset_idx_requires_files(tmp_path):
 def test_build_shards_cover_and_sizes():
     cfg = SystemConfig().replace(num_cells=1, total_users=12, total_samples=240,
                                  dataset_test_size=40,
-                                 synthetic_features=8, synthetic_classes=3)
+                                 features=8, classes=3)
     topo = generate_topology(cfg, 2)
     ds = load_dataset(cfg)
     shards = build_shards(ds, topo, seed=2)
@@ -146,7 +150,7 @@ def test_build_shards_cover_and_sizes():
 def test_build_shards_rejects_overdraw():
     cfg = SystemConfig().replace(num_cells=1, total_users=4, total_samples=100,
                                  dataset_test_size=10,
-                                 synthetic_features=4, synthetic_classes=2)
+                                 features=4, classes=2)
     topo = generate_topology(cfg, 0)
     ds = load_dataset(cfg)
     short = Dataset(ds.train_x[:50], ds.train_y[:50], ds.test_x, ds.test_y)

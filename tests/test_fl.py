@@ -134,7 +134,7 @@ def everyone_scheduled(cfg, topo, sigma=0.0):
 def tiny_training_config(**over):
     base = dict(num_cells=1, total_users=6, total_samples=120, num_rbs=6,
                 rounds=5, clip=1e6, dataset_test_size=30,
-                synthetic_features=8, synthetic_classes=3)
+                features=8, classes=3)
     base.update(over)
     return SystemConfig().replace(**base)
 
@@ -146,7 +146,7 @@ def test_noiseless_single_cell_equals_batch_descent():
     alloc = everyone_scheduled(cfg, topo)
     state = train(topo, alloc, ds, cfg, seed=0)
 
-    model = Mlp(ds.input_dim, ds.num_classes)
+    model = Mlp(cfg.features, cfg.classes)
     w0 = model.init_params(seeding.stream(0, seeding.WEIGHTS))
     shards = build_shards(ds, topo, 0)
     union_x = np.concatenate([s.x for s in shards])
@@ -174,9 +174,9 @@ def three_cell_setup(sigmas=None, **over):
     return cfg, topo, ds, alloc, cells
 
 
-def per_user_gradients(ds, topo, seed):
+def per_user_gradients(cfg, ds, topo, seed):
     """Initial weights and user u's full-batch gradient, as train builds them."""
-    model = Mlp(ds.input_dim, ds.num_classes)
+    model = Mlp(cfg.features, cfg.classes)
     w0 = model.init_params(seeding.stream(seed, seeding.WEIGHTS))
     shards = build_shards(ds, topo, seed)
     return w0, lambda u, w: model.loss_and_grad(w, shards[u].x, shards[u].y)[1]
@@ -186,7 +186,7 @@ def test_noiseless_train_matches_two_level_oracle():
     cfg, topo, ds, alloc, cells = three_cell_setup(clip=0.5, mu=0.1)
     state = train(topo, alloc, ds, cfg, seed=6)
 
-    w, grad = per_user_gradients(ds, topo, 6)
+    w, grad = per_user_gradients(cfg, ds, topo, 6)
     norms = [np.linalg.norm(grad(u, w)) for c in cells for u in c]
     assert min(norms) < cfg.clip < max(norms), "the round needs clipped and unclipped users"
     for _ in range(cfg.rounds):
@@ -209,7 +209,7 @@ def test_round_noise_has_the_summed_users_variance():
     expect = float(np.sum((K * sig / K.sum()) ** 2))
 
     # the paper's per-user mechanisms, drawn user by user, have the same law
-    w0, grad = per_user_gradients(ds, topo, 6)
+    w0, grad = per_user_gradients(cfg, ds, topo, 6)
     one_round = lambda sigmas: two_level_round(
         grad, w0, cells, topo.samples, sigmas, cfg.clip, cfg.step,
         lambda s, u: seeding.stream(6, seeding.NOISE, 0, s, u))
@@ -246,7 +246,7 @@ def test_training_memory_does_not_grow_with_the_schedule():
 
     one, seven = net_peak(1), net_peak(topo.num_cells)
     # a list of gradients or cell means would add one vector per cell
-    assert seven - one < Mlp(ds.input_dim, ds.num_classes).dim * 8
+    assert seven - one < Mlp(cfg.features, cfg.classes).dim * 8
 
 
 def test_train_metrics_lengths_and_determinism():
@@ -269,7 +269,7 @@ def test_train_zero_rounds_returns_init():
     ds = load_dataset(cfg)
     alloc = everyone_scheduled(cfg, topo)
     state = train(topo, alloc, ds, cfg, seed=2)
-    model = Mlp(ds.input_dim, ds.num_classes)
+    model = Mlp(cfg.features, cfg.classes)
     w0 = model.init_params(seeding.stream(2, seeding.WEIGHTS))
     assert np.array_equal(state.weights, w0)
     assert state.test_accuracy == []

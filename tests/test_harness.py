@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def small_config(**overrides):
     base = dict(total_users=12, total_samples=7200, num_rbs=3,
-                synthetic_features=8, synthetic_classes=3,
+                features=8, classes=3,
                 dataset_test_size=60, rounds=3)
     base.update(overrides)
     return SystemConfig().replace(**base)
