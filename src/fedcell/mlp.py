@@ -2,19 +2,37 @@
 
 Parameters live in a single float64 vector laid out as W1, b1, W2, b2, W3,
 b3 so model exchange and noising are plain vector arithmetic.
+
+`loss_and_grad` and `evaluate` walk the batch in fixed slices of CHUNK rows,
+in order, so a call holds one slice's activations whatever the batch size.
+Each slice's weight gradient is a product summed over at most CHUNK rows;
+OpenBLAS splits longer sums by its thread count, so fixing the slice also
+fixes the bits at any thread count.  256 rows is as wide as the hidden
+layers, keeps a slice's activations near 1 MB, and is above most users'
+shards, so a batch of 256 samples or fewer runs as one slice and keeps the
+bits of the unchunked pass.
 """
 from __future__ import annotations
 
 import numpy as np
 
+CHUNK = 256
+
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray):
-    """Mean cross entropy of `logits` against labels `y`, and each row's
-    softmax denominator; `logits` end as the numerators, exp(row - row max)."""
+    """Each row's cross entropy of `logits` against labels `y`, and each
+    row's softmax denominator; `logits` end as the numerators,
+    exp(row - row max)."""
     logits -= logits.max(axis=1, keepdims=True)
     shifted_y = logits[np.arange(logits.shape[0]), y]
     denom = np.exp(logits, out=logits).sum(axis=1)
-    return float(np.mean(np.log(denom) - shifted_y)), denom
+    return np.log(denom) - shifted_y, denom
+
+
+def _slices(n: int):
+    if n == 0:
+        raise ValueError("empty batch")
+    return [slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
 
 
 class Mlp:
@@ -42,10 +60,10 @@ class Mlp:
         return [(w[ws].reshape(fan_in, fan_out), w[bs])
                 for ws, bs, fan_in, fan_out in self.slices]
 
-    def _forward(self, w, x):
+    @staticmethod
+    def _forward(layers, x):
         """Every layer's input (x first) and the logits; each bias is added
         and each ReLU applied in place on its fresh weight product."""
-        layers = self.unpack(w)
         acts = [x]
         for wm, b in layers[:-1]:
             h = acts[-1] @ wm
@@ -57,33 +75,51 @@ class Mlp:
         logits += b
         return acts, logits
 
-    def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
-        """Mean cross entropy over (x, y) and its flat gradient.
-
-        The logits become the softmax delta in place, and each weight
-        product is written straight into its slice of the gradient."""
-        n = x.shape[0]
-        if n == 0:
-            raise ValueError("empty batch")
-        layers = self.unpack(w)
-        acts, delta = self._forward(w, x)
-        loss, denom = _cross_entropy(delta, y)
-
-        grad = np.empty(self.dim)
+    def _slice_grad(self, layers, x, y, n, out):
+        """Each row's loss on one slice, whose gradient share is written
+        into `out`: its logits become the softmax delta in place, divided
+        by the whole batch size n, and each weight product is written
+        straight into its block of `out`."""
+        acts, delta = self._forward(layers, x)
+        losses, denom = _cross_entropy(delta, y)
         delta /= denom[:, None]
-        delta[np.arange(n), y] -= 1.0
+        delta[np.arange(x.shape[0]), y] -= 1.0
         delta /= n
         for layer in range(len(layers) - 1, -1, -1):
             ws, bs, fan_in, fan_out = self.slices[layer]
-            np.matmul(acts[layer].T, delta, out=grad[ws].reshape(fan_in, fan_out))
-            np.sum(delta, axis=0, out=grad[bs])
+            np.matmul(acts[layer].T, delta, out=out[ws].reshape(fan_in, fan_out))
+            np.sum(delta, axis=0, out=out[bs])
             if layer:
                 delta = delta @ layers[layer][0].T
                 delta *= acts[layer] > 0.0
-        return loss, grad
+        return losses
+
+    def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
+        """Mean cross entropy over (x, y) and its flat gradient.
+
+        The first slice writes the gradient; each later slice writes one
+        reused buffer, which is then added to it."""
+        n = x.shape[0]
+        chunks = _slices(n)
+        layers = self.unpack(w)
+        losses = np.empty(n)
+        grad = np.empty(self.dim)
+        part = np.empty(self.dim) if len(chunks) > 1 else None
+        for rows in chunks:
+            out = grad if rows.start == 0 else part
+            losses[rows] = self._slice_grad(layers, x[rows], y[rows], n, out)
+            if out is part:
+                grad += part
+        return float(np.mean(losses)), grad
 
     def evaluate(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
         """(mean cross entropy, accuracy) on a labelled set."""
-        _, logits = self._forward(w, x)
-        acc = float(np.mean(np.argmax(logits, axis=1) == y))
-        return _cross_entropy(logits, y)[0], acc
+        n = x.shape[0]
+        layers = self.unpack(w)
+        losses = np.empty(n)
+        hits = np.empty(n, dtype=bool)
+        for rows in _slices(n):
+            logits = self._forward(layers, x[rows])[1]
+            np.equal(np.argmax(logits, axis=1), y[rows], out=hits[rows])
+            losses[rows] = _cross_entropy(logits, y[rows])[0]
+        return float(np.mean(losses)), float(np.mean(hits))
