@@ -5,7 +5,9 @@ blobs are drawn with them, and idx images and labels must fit them.
 
 The idx format is big-endian: two zero bytes, a dtype code, a dimension
 count, then one 4-byte size per dimension, then the raw payload.  Files may
-be gzip-compressed (.gz suffix or magic detection).
+be gzip-compressed (.gz suffix or magic detection).  Only uint8 payloads
+(code 0x08, as in MNIST) are read: images are pixels scaled by 1/255, and
+only the rows a run keeps are scaled.
 """
 from __future__ import annotations
 
@@ -20,28 +22,24 @@ from . import seeding
 from .config import SystemConfig
 from .topology import Topology
 
-_IDX_DTYPES = {
-    0x08: np.uint8,
-    0x09: np.int8,
-    0x0B: np.dtype(">i2"),
-    0x0C: np.dtype(">i4"),
-    0x0D: np.dtype(">f4"),
-    0x0E: np.dtype(">f8"),
-}
+_IDX_DTYPES = {0x08: np.uint8}
 
 
 def read_idx(path: str | Path) -> np.ndarray:
+    """The file's payload as a read-only array over its bytes."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
     zero1, zero2, code, ndim = struct.unpack(">BBBB", raw[:4])
-    if zero1 or zero2 or code not in _IDX_DTYPES:
+    if zero1 or zero2:
         raise ValueError(f"{path}: not an idx file")
+    if code not in _IDX_DTYPES:
+        raise ValueError(f"{path}: idx dtype code 0x{code:02X} is not uint8 (0x08)")
     dims = struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
     data = np.frombuffer(raw, dtype=_IDX_DTYPES[code], count=int(np.prod(dims)),
                          offset=4 + 4 * ndim)
-    return data.reshape(dims).astype(data.dtype.newbyteorder("="))
+    return data.reshape(dims)
 
 
 @dataclass
@@ -68,7 +66,8 @@ def _find_idx(root: Path, names) -> Path | None:
     return None
 
 
-def load_idx_dataset(root: str | Path) -> Dataset:
+def _read_idx_files(root: str | Path) -> dict:
+    """The four idx arrays by Dataset field, images flattened, still uint8."""
     root = Path(root)
     found = {}
     for key, names in _IDX_NAMES.items():
@@ -76,10 +75,21 @@ def load_idx_dataset(root: str | Path) -> Dataset:
         if path is None:
             raise FileNotFoundError(f"{root}: missing idx file for {key}")
         found[key] = read_idx(path)
-    tx = found["train_x"].reshape(found["train_x"].shape[0], -1).astype(np.float64) / 255.0
-    ex = found["test_x"].reshape(found["test_x"].shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(tx, found["train_y"].astype(np.int64),
-                   ex, found["test_y"].astype(np.int64))
+    for key in ("train_x", "test_x"):
+        found[key] = found[key].reshape(found[key].shape[0], -1)
+    return found
+
+
+def _scaled(found: dict, train_rows=slice(None), test_rows=slice(None)) -> Dataset:
+    """The chosen rows of `_read_idx_files`' arrays, pixels scaled into [0, 1]."""
+    return Dataset(found["train_x"][train_rows] / 255.0,
+                   found["train_y"][train_rows].astype(np.int64),
+                   found["test_x"][test_rows] / 255.0,
+                   found["test_y"][test_rows].astype(np.int64))
+
+
+def load_idx_dataset(root: str | Path) -> Dataset:
+    return _scaled(_read_idx_files(root))
 
 
 _CLUSTERS_PER_CLASS = 3
@@ -118,36 +128,35 @@ def load_dataset(config: SystemConfig) -> Dataset:
     if config.dataset_path is None:
         return synthetic_blobs(config.classes, config.features, config.total_samples,
                                config.dataset_test_size, config.seed)
-    full = load_idx_dataset(config.dataset_path)
-    if full.train_x.shape[0] < config.total_samples:
+    full = _read_idx_files(config.dataset_path)
+    train_n, test_n = full["train_x"].shape[0], full["test_x"].shape[0]
+    if train_n < config.total_samples:
         raise ValueError(
-            f"dataset holds {full.train_x.shape[0]} training samples, "
+            f"dataset holds {train_n} training samples, "
             f"config assigns {config.total_samples}")
-    if full.test_x.shape[0] < config.dataset_test_size:
+    if test_n < config.dataset_test_size:
         raise ValueError(
-            f"dataset holds {full.test_x.shape[0]} test samples, "
+            f"dataset holds {test_n} test samples, "
             f"config asks for {config.dataset_test_size}")
-    for x in (full.train_x, full.test_x):
-        if x.shape[1] != config.features:
-            raise ValueError(f"dataset images hold {x.shape[1]} pixels, "
+    for key in ("train_x", "test_x"):
+        if full[key].shape[1] != config.features:
+            raise ValueError(f"dataset images hold {full[key].shape[1]} pixels, "
                              f"config sets features {config.features}")
-    labels = np.concatenate([full.train_y, full.test_y])
-    if labels.min() < 0 or labels.max() >= config.classes:
+    labels = np.concatenate([full["train_y"], full["test_y"]])
+    if labels.max() >= config.classes:
         raise ValueError(f"dataset labels span {labels.min()}..{labels.max()}, "
                          f"config sets classes {config.classes}")
     rng = seeding.stream(config.seed, seeding.DATASET)
-    tsel = rng.permutation(full.train_x.shape[0])[:config.total_samples]
-    esel = rng.permutation(full.test_x.shape[0])[:config.dataset_test_size]
-    return Dataset(full.train_x[tsel], full.train_y[tsel],
-                   full.test_x[esel], full.test_y[esel])
+    tsel = rng.permutation(train_n)[:config.total_samples]
+    esel = rng.permutation(test_n)[:config.dataset_test_size]
+    return _scaled(full, tsel, esel)
 
 
 @dataclass
 class Shard:
-    """One user's local training slice."""
+    """One user's local training slice; `build_shards` lists them by user."""
     x: np.ndarray
     y: np.ndarray
-    user: int
 
 
 def build_shards(dataset: Dataset, topo: Topology, seed: int) -> list:
@@ -163,5 +172,5 @@ def build_shards(dataset: Dataset, topo: Topology, seed: int) -> list:
     for u in range(topo.num_users):
         take = perm[off:off + int(topo.samples[u])]
         off += int(topo.samples[u])
-        shards.append(Shard(x=dataset.train_x[take], y=dataset.train_y[take], user=u))
+        shards.append(Shard(x=dataset.train_x[take], y=dataset.train_y[take]))
     return shards

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import idx_bytes, write_idx_dataset
 
+from fedcell import seeding
 from fedcell.config import SystemConfig
 from fedcell.data import (Dataset, build_shards, load_dataset, load_idx_dataset,
                           read_idx, synthetic_blobs)
@@ -19,16 +20,28 @@ def test_idx_round_trip(tmp_path):
 
 
 def test_idx_gzip_and_dtypes(tmp_path):
-    arr = (np.arange(12, dtype=np.int32) - 6).reshape(3, 4)
+    arr = np.arange(12, dtype=np.uint8).reshape(3, 4)
     path = tmp_path / "tensor.idx.gz"
     path.write_bytes(idx_bytes(arr, compress=True))
     got = read_idx(path)
-    assert got.dtype == np.int32
+    assert got.dtype == np.uint8
     assert np.array_equal(got, arr)
-    f = np.linspace(-1, 1, 10, dtype=np.float32)
-    path2 = tmp_path / "floats.idx"
-    path2.write_bytes(idx_bytes(f))
-    assert np.allclose(read_idx(path2), f)
+    for dtype, code in ((np.int8, "0x09"), (np.int32, "0x0C"), (np.float64, "0x0E")):
+        other = tmp_path / f"{np.dtype(dtype).name}.idx"
+        other.write_bytes(idx_bytes(np.arange(4, dtype=dtype)))
+        with pytest.raises(ValueError, match=f"dtype code {code} is not uint8"):
+            read_idx(other)
+
+
+def test_float32_idx_images_are_rejected(tmp_path):
+    """float32 pixels in [0, 1] would be divided by 255 like uint8 ones."""
+    write_idx_dataset(tmp_path, train_n=80, test_n=30)
+    images = np.random.default_rng(0).random((80, 6, 6), dtype=np.float32)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(idx_bytes(images))
+    cfg = SystemConfig().replace(total_users=5, total_samples=40, features=36,
+                                 dataset_path=str(tmp_path), dataset_test_size=20)
+    with pytest.raises(ValueError, match="dtype code 0x0D is not uint8"):
+        load_dataset(cfg)
 
 
 def test_idx_rejects_bad_magic(tmp_path):
@@ -137,9 +150,11 @@ def test_build_shards_cover_and_sizes():
     assert len(shards) == 12
     assert sum(s.x.shape[0] for s in shards) == 240
     for u, s in enumerate(shards):
-        assert s.user == u
         assert s.x.shape[0] == int(topo.samples[u])
         assert s.x.shape[1] == 8
+    # shard u holds user u's block of the seeded shuffle, in user order
+    perm = seeding.stream(2, seeding.SHARDS).permutation(240)
+    assert np.array_equal(np.concatenate([s.y for s in shards]), ds.train_y[perm])
     # deterministic
     again = build_shards(ds, topo, seed=2)
     assert all(np.array_equal(a.x, b.x) for a, b in zip(shards, again))

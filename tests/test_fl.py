@@ -320,5 +320,5 @@ def test_local_gradient_empty_shard_rejected():
     from fedcell.data import Shard
     model = Mlp(4, 2)
     with pytest.raises(ValueError):
-        local_gradient(model, Shard(np.zeros((0, 4)), np.zeros(0, dtype=int), 0),
+        local_gradient(model, Shard(np.zeros((0, 4)), np.zeros(0, dtype=int)),
                        np.zeros(model.dim))
