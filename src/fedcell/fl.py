@@ -40,8 +40,12 @@ class TrainDivergedError(RuntimeError):
 
 
 def clip_global_norm(grad: np.ndarray, limit: float) -> np.ndarray:
-    """Scale `grad` down to norm `limit` when it exceeds it."""
-    norm = float(np.linalg.norm(grad))
+    """Scale `grad` down to norm `limit` when it exceeds it.
+
+    The norm is summed by einsum's own loop, not by BLAS's dot product,
+    which `np.linalg.norm` calls and whose bits for a model-sized vector
+    depend on the OpenBLAS thread count."""
+    norm = float(np.sqrt(np.einsum("i,i->", grad, grad)))
     if norm <= limit or norm == 0.0:
         return grad
     return grad * (limit / norm)

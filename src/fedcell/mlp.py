@@ -4,13 +4,14 @@ Parameters live in a single float64 vector laid out as W1, b1, W2, b2, W3,
 b3 so model exchange and noising are plain vector arithmetic.
 
 `loss_and_grad` and `evaluate` walk the batch in fixed slices of CHUNK rows,
-in order, so a call holds one slice's activations whatever the batch size.
-Each slice's weight gradient is a product summed over at most CHUNK rows;
-OpenBLAS splits longer sums by its thread count, so fixing the slice also
-fixes the bits at any thread count.  256 rows is as wide as the hidden
-layers, keeps a slice's activations near 1 MB, and is above most users'
-shards, so a batch of 256 samples or fewer runs as one slice and keeps the
-bits of the unchunked pass.
+in order, so a call holds one slice's activations (about 1 MB at the desk
+shape) whatever the batch size.  The weight gradient is summed slice by
+slice: each slice's product sums over at most 256 rows, which OpenBLAS
+returns with the same bits at one and at two threads, while a product over
+a whole batch changes its last digits with the thread count from about 400
+rows.  256 is also the hidden width and lies above 31 of the 33 shards a
+desk training call visits on average, and a batch of 256 samples or fewer
+runs as one slice, so it keeps the bits of the unchunked pass.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray):
 
 
 def _slices(n: int):
+    """A batch of n rows as slices of CHUNK rows, in order."""
     if n == 0:
         raise ValueError("empty batch")
     return [slice(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
