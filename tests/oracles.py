@@ -377,3 +377,31 @@ def predict_proba(model, w, x):
     logits = h @ wm + b
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def whole_batch_loss_and_grad(model, w, x, y):
+    """Mean cross entropy of an Mlp and its flat gradient from one forward
+    and backward pass over the whole batch: the pass `Mlp.loss_and_grad`
+    ran before it walked the batch in slices, written out plainly."""
+    layers = model.unpack(w)
+    n = x.shape[0]
+    acts = [x]
+    for wm, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ wm + b, 0.0))
+    wm, b = layers[-1]
+    logits = acts[-1] @ wm + b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1)
+    loss = float(np.mean(np.log(denom) - shifted[np.arange(n), y]))
+    delta = exp / denom[:, None]
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad = np.empty(model.dim)
+    for layer in range(len(layers) - 1, -1, -1):
+        ws, bs, _, _ = model.slices[layer]
+        grad[ws] = (acts[layer].T @ delta).ravel()
+        grad[bs] = delta.sum(axis=0)
+        if layer:
+            delta = (delta @ layers[layer][0].T) * (acts[layer] > 0.0)
+    return loss, grad

@@ -37,6 +37,18 @@ def test_clip_rescales_exactly_to_limit():
     assert out == pytest.approx(v / 5.0, rel=1e-12)
 
 
+def test_clip_does_not_depend_on_the_blas_thread_count(set_blas_threads):
+    """A desk-model-sized gradient clips to the same bits at 1 and 2 threads."""
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        v = rng.normal(size=Mlp(64, 10).dim)
+        outs = []
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            outs.append(clip_global_norm(v, 1.0))
+        assert np.array_equal(outs[0], outs[1])
+
+
 def test_clip_keeps_short_vectors_and_zero():
     v = np.array([0.1, 0.2])
     assert clip_global_norm(v, 10.0) is v

@@ -14,10 +14,12 @@ through the command line and its two csv files are compared the same way:
   within one test example (1 / dataset_test_size) and loss within relative
   1e-6.  The desk case trains for 50 rounds, long enough to leave chance
   accuracy (about 0.1 at round 4, 0.25-0.32 at round 49), so the band can
-  see learning.  Fifty rounds amplify last-digit BLAS differences only a
-  little (one against two OpenBLAS threads moves the loss by at most 5e-14),
-  so this band absorbs another BLAS build while any change to the schedule,
-  the noise or the update moves the numbers well outside it;
+  see learning.  Training sums its gradients over fixed 256-sample slices,
+  so its bits do not depend on the OpenBLAS thread count.  Fifty rounds
+  amplify last-digit differences only a little (summing the whole batch at
+  once instead of in slices moves the loss by at most 2.1e-14), so this
+  band absorbs another BLAS build while any change to the schedule, the
+  noise or the update moves the numbers well outside it;
 - allocation.csv: exact on user, cell, samples and block; relative 1e-9 on
   power_w, sigma, rate_bit_s and rho;
 - cell_objectives.csv: exact on cell, relative 1e-9 on objective.

@@ -1,3 +1,7 @@
+import functools
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import central_difference
 
-from fedcell.mlp import Mlp
+from fedcell.config import load_config
+from fedcell.data import load_dataset
+from fedcell.mlp import CHUNK, Mlp
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def toy_batch(model, n=12, seed=0):
@@ -123,3 +131,65 @@ def test_gradient_zero_at_uniform_optimum(seed):
     _, g = m.loss_and_grad(w, x, y)
     ws, bs, _, _ = m.slices[-1]
     assert np.allclose(g[bs], 0.0, atol=1e-15)
+
+
+@functools.cache
+def desk_setup():
+    cfg = load_config(CONFIGS / "desk_train_r5.yaml")
+    return Mlp(cfg.features, cfg.classes), load_dataset(cfg)
+
+
+def desk_batch(n, seed=0):
+    """The desk model at its initial weights and the first n desk samples."""
+    model, data = desk_setup()
+    w = model.init_params(np.random.default_rng(seed))
+    return model, w, data.train_x[:n], data.train_y[:n]
+
+
+@pytest.mark.parametrize("n", [1, 37, CHUNK - 1, CHUNK])
+def test_one_slice_keeps_the_whole_batch_bits(n):
+    model, w, x, y = desk_batch(n)
+    loss, grad = model.loss_and_grad(w, x, y)
+    ref_loss, ref_grad = oracles.whole_batch_loss_and_grad(model, w, x, y)
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_slices_stay_near_the_whole_batch_pass():
+    model, w, x, y = desk_batch(700)
+    loss, grad = model.loss_and_grad(w, x, y)
+    ref_loss, ref_grad = oracles.whole_batch_loss_and_grad(model, w, x, y)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+    eval_loss, _ = model.evaluate(w, x, y)
+    assert eval_loss == pytest.approx(ref_loss, rel=1e-12)
+
+
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_does_not_grow_with_the_batch():
+    """A call holds one slice's activations, however many rows it walks."""
+    model, w, x, y = desk_batch(2000)
+    one = traced_peak(model.loss_and_grad, w, x[:CHUNK], y[:CHUNK])
+    assert traced_peak(model.loss_and_grad, w, x, y) <= 1.5 * one
+    one = traced_peak(model.evaluate, w, x[:CHUNK], y[:CHUNK])
+    assert traced_peak(model.evaluate, w, x[:1000], y[:1000]) <= 1.5 * one
+
+
+def test_bits_do_not_depend_on_the_blas_thread_count(set_blas_threads):
+    model, w, x, y = desk_batch(3700)
+    runs = []
+    for threads in (1, 2):
+        set_blas_threads(threads)
+        runs.append((model.loss_and_grad(w, x, y), model.evaluate(w, x, y)))
+    ((loss1, grad1), eval1), ((loss2, grad2), eval2) = runs
+    assert loss1 == loss2
+    assert np.array_equal(grad1, grad2)
+    assert eval1 == eval2
