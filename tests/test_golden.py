@@ -17,7 +17,7 @@ through the command line and its two csv files are compared the same way:
   see learning.  Training sums its gradients over fixed 256-sample slices,
   so its bits do not depend on the OpenBLAS thread count.  Fifty rounds
   amplify last-digit differences only a little (summing the whole batch at
-  once instead of in slices moves the loss by at most 2.1e-14), so this
+  once instead of in slices moves the loss by at most 2.3e-14), so this
   band absorbs another BLAS build while any change to the schedule, the
   noise or the update moves the numbers well outside it;
 - allocation.csv: exact on user, cell, samples and block; relative 1e-9 on

@@ -139,10 +139,10 @@ def desk_setup():
     return Mlp(cfg.features, cfg.classes), load_dataset(cfg)
 
 
-def desk_batch(n, seed=0):
+def desk_batch(n):
     """The desk model at its initial weights and the first n desk samples."""
     model, data = desk_setup()
-    w = model.init_params(np.random.default_rng(seed))
+    w = model.init_params(np.random.default_rng(0))
     return model, w, data.train_x[:n], data.train_y[:n]
 
 
