@@ -344,6 +344,25 @@ def solve_powers_lp(topo, alloc, config):
     return powers
 
 
+def scaled_lp_highs(A, b, p_max):
+    """y in [0, 1] minimising sum_j (b_j / max b) |(p_max (A y)_j - b_j) / b_j|,
+    by HiGHS: the program `radio._scaled_lp` solves, with each |.| split into
+    two inequalities on one slack per row.  Returns y, or None when HiGHS
+    fails.
+    """
+    m = b.size
+    scaled = A * (p_max / b[:, None])
+    eye = np.eye(m)
+    c = np.concatenate([np.zeros(m), b / b.max()])
+    a_ub = np.block([[scaled, -eye], [-scaled, -eye]])
+    b_ub = np.concatenate([np.ones(m), -np.ones(m)])
+    bounds = [(0.0, 1.0)] * m + [(0.0, None)] * m
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not res.success:
+        return None
+    return np.clip(res.x[:m], 0.0, 1.0)
+
+
 def validate_allocation(alloc, topo, config):
     """Structural checks of an allocation; returns violation descriptions."""
     problems = []

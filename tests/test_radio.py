@@ -11,9 +11,10 @@ import oracles
 
 import fedcell.radio
 from fedcell.config import SystemConfig, load_config
-from fedcell.radio import (empty_allocation, enforce_rate, interference,
-                           power_system, snr_gap, solve_powers, uplink_rate)
-from fedcell.scheduler import _init_state, opt_sched
+from fedcell.radio import (PowerSolveError, empty_allocation, enforce_rate,
+                           interference, power_system, snr_gap, solve_powers,
+                           uplink_rate)
+from fedcell.scheduler import _init_state, opt_sched, rnd_sched
 from fedcell.topology import generate_topology
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -258,8 +259,9 @@ def test_solve_powers_sends_every_block_to_the_lp_when_a_solve_fails(monkeypatch
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     p = solve_powers(topo, alloc, cfg)
-    # the scaled program meets each row to about 1e-7 of its b_j
-    assert p[sched] == pytest.approx(direct, rel=1e-6, abs=0.0)
+    # every block is interior, so the program's optimum is the direct
+    # solution; the simplex lands on it to 3e-16 relative
+    assert p[sched] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_solve_powers_sends_only_a_failing_block_to_the_lp(monkeypatch):
@@ -294,9 +296,9 @@ def test_solve_powers_sends_only_a_failing_block_to_the_lp(monkeypatch):
     assert len(lp_demands) == 1
     assert np.array_equal(lp_demands[0], b[rows_of[failing]])
     for i, (rows, direct) in enumerate(zip(rows_of, exact)):
-        # the scaled program meets each row to about 1e-7 of its b_j
-        rel = 1e-6 if i == failing else 1e-12
-        assert p[sched[rows]] == pytest.approx(direct, rel=rel, abs=0.0), f"block {i}"
+        # the simplex meets the failing block's direct solution to 2e-16
+        # relative, as the solve meets the others
+        assert p[sched[rows]] == pytest.approx(direct, rel=1e-12, abs=0.0), f"block {i}"
 
 
 def test_solve_powers_empty_schedule():
@@ -362,17 +364,127 @@ def test_solve_powers_matches_direct_blocks_and_lp_oracle_property(seed, users, 
             assert p[sched[rows]] == pytest.approx(direct, rel=1e-9, abs=0.0)
     expect = oracles.solve_powers_lp(topo, alloc, cfg)
     assert expect is not None
-    # the scaled program meets each row to the solver's tolerance of about
-    # 1e-7 in units of that row's b_j; the watt-unit oracle is no closer
+    # the watt-unit HiGHS oracle works to an absolute tolerance of about
+    # 1e-7 and is no closer; over 400 draws ours exceeded its residual by
+    # at most 5.5e-16 b.sum(), the rounding of the sums themselves
     ours = np.abs(A @ p[sched] - b).sum()
     theirs = np.abs(A @ expect[sched] - b).sum()
-    assert ours <= theirs + 1e-7 * b.sum()
+    assert ours <= theirs + 1e-12 * b.sum()
+
+
+def lp_objective(A, b, p_max, y):
+    """The scaled program's objective at y, and a bound on the rounding of
+    that evaluation: m eps times the weighted sum of the terms' magnitudes."""
+    S = A * (p_max / b[:, None])
+    w = b / b.max()
+    value = w @ np.abs(S @ y - 1.0)
+    rounding = b.size * np.finfo(float).eps * (w @ (1.0 + np.abs(S) @ y))
+    return float(value), float(rounding)
+
+
+def assert_lp_matches_highs(A, b, p_max):
+    """`_scaled_lp` against HiGHS on the same program; returns our y."""
+    y = fedcell.radio._scaled_lp(A, b, p_max)
+    expect = oracles.scaled_lp_highs(A, b, p_max)
+    assert expect is not None
+    assert y == pytest.approx(expect, rel=0.0, abs=1e-10)
+    (ours, ours_err), (theirs, theirs_err) = (lp_objective(A, b, p_max, v) for v in (y, expect))
+    # an optimum that meets every row reads only the rounding of the sum
+    assert ours == pytest.approx(theirs, rel=1e-11, abs=ours_err + theirs_err)
+    return y
+
+
+def recorded_lps(run):
+    """(A, b, p_max) of every program that `run()` sends to `_scaled_lp`."""
+    calls = []
+    real = fedcell.radio._scaled_lp
+
+    def record(A, b, p_max):
+        calls.append((A, b, p_max))
+        return real(A, b, p_max)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedcell.radio, "_scaled_lp", record)
+        run()
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), users=st.integers(8, 40), num_rbs=st.integers(1, 8))
+def test_scaled_lp_matches_highs_property(seed, users, num_rbs):
+    cfg, topo, alloc = random_schedule(seed, users, num_rbs)
+    programs = recorded_lps(lambda: solve_powers(topo, alloc, cfg))
+    # the whole system too, in-box blocks included, so every draw has one
+    A, b, sched = power_system(topo, alloc, cfg)
+    if sched.size:
+        programs.append((A, b, cfg.p_max))
+    for program in programs:
+        assert_lp_matches_highs(*program)
+
+
+@pytest.mark.parametrize("name", ["full_scale_r5", "full_scale_r8"])
+def test_scaled_lp_matches_highs_on_scheduler_programs(name):
+    # what rnd and opt send to the program on seeds 0-2, and the whole
+    # system of each initial draw
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    programs = []
+    for seed in range(3):
+        topo = generate_topology(cfg, seed)
+        programs += recorded_lps(lambda: (rnd_sched(topo, cfg, seed),
+                                          opt_sched(topo, cfg, seed)))
+        A, b, _ = power_system(topo, _init_state(topo, cfg, seed)[0], cfg)
+        programs.append((A, b, cfg.p_max))
+    assert len(programs) > 3, "the seeds need programs from the schedulers"
+    for program in programs:
+        assert_lp_matches_highs(*program)
+
+
+P_MAX = SystemConfig().p_max
+
+
+@pytest.mark.parametrize("A, demand, expect", [
+    # one user who needs twice the cap transmits at the cap
+    ([[1.0]], [2.0], [1.0]),
+    ([[1.0]], [0.5], [0.5]),
+    # the first user needs more than p_max even alone; the second meets
+    # its demand exactly against the first at full power
+    ([[1.0, -0.1], [-0.2, 1.0]], [2.0, 0.1], [1.0, 0.3]),
+    # two identical rows that no power in the box meets: full power for the
+    # first user and none for the second is the one optimum
+    ([[1.0, -0.5], [1.0, -0.5]], [2.0, 2.0], [1.0, 0.0]),
+    # co-channel gains of spectral radius 2: any power raises the L1 misfit
+    ([[1.0, -2.0], [-2.0, 1.0]], [0.1, 0.1], [0.0, 0.0]),
+    # the second power flips to the cap and later enters the basis from it
+    ([[1.0, -0.5, -0.2], [-0.5, 1.0, -0.4], [0.0, -0.3, 1.0]], [0.4, 1.6, 0.6],
+     [1.0, 1.0, 0.9]),
+], ids=["one row over the cap", "one row inside the cap", "a user over the cap",
+        "singular block", "spectral radius above one", "entering from the cap"])
+def test_scaled_lp_edge_cases(A, demand, expect):
+    A = np.array(A)
+    y = assert_lp_matches_highs(A, np.array(demand) * P_MAX, P_MAX)
+    assert y == pytest.approx(expect, rel=0.0, abs=1e-15)
+
+
+def test_scaled_lp_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(fedcell.radio, "MAX_STEPS_PER_ROW", 0)
+    with pytest.raises(PowerSolveError, match="step limit"):
+        fedcell.radio._scaled_lp(np.array([[1.0]]), np.array([0.5 * P_MAX]), P_MAX)
+
+
+def test_scaled_lp_raises_on_a_singular_basis(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(PowerSolveError, match="singular basis"):
+        fedcell.radio._scaled_lp(np.array([[1.0]]), np.array([0.5 * P_MAX]), P_MAX)
 
 
 @pytest.mark.parametrize("name", ["full_scale_r5", "full_scale_r8"])
 def test_solve_powers_keeps_a_user_who_needs_nanowatts(name):
     # golden replica 4: in watts, user 12's exact power of about 4.4 nW lies
-    # below the LP solver's tolerance, and a watt-unit solve drops the user
+    # below HiGHS's absolute tolerance, and a watt-unit HiGHS solve drops
+    # the user
     cfg = load_config(CONFIGS / f"{name}.yaml")
     topo = generate_topology(cfg, 4)
     alloc = opt_sched(topo, cfg, 4)
