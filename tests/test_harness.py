@@ -1,5 +1,9 @@
 """Experiment harness: replica pairing, row ordering, csv bytes."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -275,3 +279,29 @@ def test_readme_library_example_prints_a_finite_total(monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {})
     total = float(capsys.readouterr().out)
     assert math.isfinite(total) and total > 0.0
+
+
+def test_a_schedule_only_replica_imports_no_scipy():
+    # scipy is a test dependency only; replica seed 0 of r5 solves one power
+    # program, so the check covers the LP path too
+    code = textwrap.dedent("""
+        import sys
+        import fedcell
+        import fedcell.radio
+        from fedcell.config import load_config
+        from fedcell.harness import ExperimentSpec, run_experiment
+        lps = []
+        real = fedcell.radio.linprog
+        fedcell.radio.linprog = lambda *args, **kw: lps.append(args) or real(*args, **kw)
+        spec = ExperimentSpec(config=load_config(sys.argv[1]), replicas=1, seed_base=0)
+        table = run_experiment(spec)
+        print(len(table.rows), len(table.errors), len(lps))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "configs" / "full_scale_r5.yaml")],
+                         env=env, capture_output=True, text=True, check=True)
+    counts, modules = out.stdout.splitlines()
+    rows, errors, lps = map(int, counts.split())
+    assert rows == len(ALGORITHMS) and errors == 0 and lps >= 1
+    assert modules == "[]"
